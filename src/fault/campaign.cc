@@ -14,7 +14,6 @@
 #include "persist/checkpoint.hh"
 #include "power/power_model.hh"
 #include "psm/psm.hh"
-#include "sim/digest.hh"
 #include "sim/parallel.hh"
 #include "sim/rng.hh"
 
@@ -36,57 +35,13 @@ cutPhaseName(CutPhase phase)
     return "?";
 }
 
-void
-CampaignResult::merge(const CampaignResult &other)
-{
-    cuts += other.cuts;
-    for (std::size_t p = 0; p < phaseCuts.size(); ++p)
-        phaseCuts[p] += other.phaseCuts[p];
-    resumes += other.resumes;
-    coldBoots += other.coldBoots;
-    droppedWrites += other.droppedWrites;
-    tornWrites += other.tornWrites;
-    violations += other.violations;
-    for (const std::string &note : other.violationNotes) {
-        if (violationNotes.size() >= 8)
-            break;
-        violationNotes.push_back(note);
-    }
-}
-
 namespace
 {
-
-/** A MemoryPort view over the PSM (TimedMem plumbing). */
-class PsmMemPort : public mem::MemoryPort
-{
-  public:
-    explicit PsmMemPort(psm::Psm &psm) : psm(psm) {}
-
-    mem::AccessResult
-    access(const mem::MemRequest &req, Tick when) override
-    {
-        return psm.access(req, when);
-    }
-
-    Tick fence(Tick when) override { return psm.flush(when); }
-
-  private:
-    psm::Psm &psm;
-};
 
 void
 countPhase(CampaignResult &result, CutPhase phase)
 {
     ++result.phaseCuts[static_cast<std::size_t>(phase)];
-}
-
-void
-flagViolation(CampaignResult &result, const std::string &note)
-{
-    ++result.violations;
-    if (result.violationNotes.size() < 8)
-        result.violationNotes.push_back(note);
 }
 
 /**
@@ -173,21 +128,11 @@ runSeededTrials(const CampaignConfig &config, const char *mode,
     CampaignResult result = pool.reduce<CampaignResult>(
         config.cuts, CampaignResult{}, trial,
         [](CampaignResult &acc, const CampaignResult &partial) {
-            acc.merge(partial);
+            sim::fold(acc, partial, campaignResultFields);
         });
     result.mode = mode;
     result.psu = config.psu.spec().name;
-
-    sim::Fnv64 digest;
-    digest.mix(result.cuts);
-    for (const std::uint64_t c : result.phaseCuts)
-        digest.mix(c);
-    digest.mix(result.resumes);
-    digest.mix(result.coldBoots);
-    digest.mix(result.droppedWrites);
-    digest.mix(result.tornWrites);
-    digest.mix(result.violations);
-    result.digest = digest.h;
+    result.digest = sim::digestOf(result, campaignResultFields);
     return result;
 }
 
@@ -269,7 +214,7 @@ runSngCampaign(const CampaignConfig &config)
             note << "SnG cut@" << cut << " " << cutPhaseName(phase)
                  << ": commit durable=" << sng.hasCommit()
                  << " expected=" << expect_resume;
-            flagViolation(result, note.str());
+            sim::flagViolation(result, note.str());
         }
 
         const pecos::GoReport go = sng.resume(cut + 100 * tickMs);
@@ -278,7 +223,7 @@ runSngCampaign(const CampaignConfig &config)
             note << "SnG cut@" << cut << " " << cutPhaseName(phase)
                  << ": coldBoot=" << go.coldBoot
                  << " but commit durable=" << expect_resume;
-            flagViolation(result, note.str());
+            sim::flagViolation(result, note.str());
         }
 
         if (!go.coldBoot) {
@@ -300,7 +245,7 @@ runSngCampaign(const CampaignConfig &config)
                 std::ostringstream note;
                 note << "SnG cut@" << cut
                      << ": resumed with corrupt register state";
-                flagViolation(result, note.str());
+                sim::flagViolation(result, note.str());
             }
             ++result.resumes;
         } else {
@@ -319,7 +264,7 @@ struct ImageRig
 {
     mem::BackingStore store;
     psm::Psm psm;
-    PsmMemPort port{psm};
+    psm::PsmMemPort port{psm};
     mem::TimedMem pmem{port, &store};
 };
 
@@ -428,7 +373,7 @@ runSysPcCampaign(const CampaignConfig &config)
             note << "SysPC cut@" << cut << " recovered seq " << got
                  << " (base " << base_seq << ", commit@" << commit_at
                  << ")";
-            flagViolation(result, note.str());
+            sim::flagViolation(result, note.str());
         }
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
@@ -520,7 +465,7 @@ runSCheckPcCampaign(const CampaignConfig &config)
             note << "S-CheckPC cut@" << cut << " recovered seq "
                  << got << " (base " << base_seq << ", commit@"
                  << commit_at << ")";
-            flagViolation(result, note.str());
+            sim::flagViolation(result, note.str());
         }
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
@@ -641,7 +586,7 @@ runACheckPcCampaign(const CampaignConfig &config)
             std::ostringstream note;
             note << "A-CheckPC cut@" << cut << " recovered seq "
                  << got << " expected " << expect;
-            flagViolation(result, note.str());
+            sim::flagViolation(result, note.str());
         }
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;
@@ -847,7 +792,7 @@ runOpLogCampaign(const CampaignConfig &config)
                  << cutPhaseName(phase) << ": applied " << got
                  << " records (floor " << committed_min << ", ceiling "
                  << append_bound << ") or key table off-oracle";
-            flagViolation(result, note.str());
+            sim::flagViolation(result, note.str());
         }
         got != 0 ? ++result.resumes : ++result.coldBoots;
         ++result.cuts;

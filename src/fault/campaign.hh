@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "power/psu.hh"
+#include "sim/fields.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::fault
@@ -42,6 +43,13 @@ enum class CutPhase
 };
 
 const char *cutPhaseName(CutPhase phase);
+
+/** cutPhaseName() by array index, for the field table. */
+inline const char *
+cutPhaseNameAt(std::size_t phase)
+{
+    return cutPhaseName(static_cast<CutPhase>(phase));
+}
 
 /** One campaign's knobs. */
 struct CampaignConfig
@@ -103,10 +111,24 @@ struct CampaignResult
     {
         return phaseCuts[static_cast<std::size_t>(phase)];
     }
-
-    /** Fold another (partial) result's counters into this one. */
-    void merge(const CampaignResult &other);
 };
+
+/** Fold, digest and JSON rows of CampaignResult (sim/fields.hh). */
+inline constexpr auto campaignResultFields = [] {
+    using C = CampaignResult;
+    return std::make_tuple(
+        sim::key("mode", &C::mode),
+        sim::key("psu", &C::psu),
+        sim::sum("cuts", &C::cuts, 0),
+        sim::sum("resumes", &C::resumes, 2),
+        sim::sum("cold_boots", &C::coldBoots, 3),
+        sim::sum("dropped_writes", &C::droppedWrites, 4),
+        sim::sum("torn_writes", &C::tornWrites, 5),
+        sim::sum("violations", &C::violations, 6),
+        sim::derived("digest", &C::digest).text("0x%016llx"),
+        sim::sum("phase_cuts", &C::phaseCuts, 1).named(cutPhaseNameAt),
+        sim::notes(nullptr, &C::violationNotes));
+}();
 
 /**
  * SnG: cuts across Drive-to-Idle / Auto-Stop / EP-cut / post-commit.

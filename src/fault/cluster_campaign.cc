@@ -1,11 +1,7 @@
 #include "fault/cluster_campaign.hh"
 
-#include <algorithm>
-#include <sstream>
-
-#include "sim/digest.hh"
+#include "fault/fleet_campaign.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
 
 namespace lightpc::fault
@@ -38,38 +34,12 @@ shapeOf(std::uint32_t intensity, std::uint32_t racks)
 void
 validate(const ClusterCampaignConfig &config)
 {
-    if (config.seedsPerCell == 0)
-        fatal("cluster campaign: seedsPerCell must be nonzero");
+    validateFleetSweep("cluster campaign", config, 256);
     if (config.replicaCounts.empty())
         fatal("cluster campaign: no replica counts to sweep");
-    if (config.intensities.empty())
-        fatal("cluster campaign: no storm intensities to sweep");
-    if (config.modes.empty())
-        fatal("cluster campaign: no persistence modes to sweep");
-    for (const std::uint32_t intensity : config.intensities)
-        if (intensity < 1 || intensity > 3)
-            fatal("cluster campaign: intensity ", intensity,
-                       " is not on the 1..3 storm ladder");
-    // The stream-column packing gives seedIdx 32 bits, intIdx 8 and
-    // repIdx the rest; overflow would silently alias storm/arrival
-    // streams across cells and void the paired comparison.
-    if (config.seedsPerCell > (std::uint64_t(1) << 32))
-        fatal("cluster campaign: seedsPerCell ", config.seedsPerCell,
-              " overflows the 32-bit seed field of the stream "
-              "column packing");
-    if (config.intensities.size() > 256)
-        fatal("cluster campaign: ", config.intensities.size(),
-              " intensities overflow the 8-bit intensity field of "
-              "the stream column packing");
     if (config.replicaCounts.size() > (std::size_t(1) << 24))
         fatal("cluster campaign: ", config.replicaCounts.size(),
               " replica counts overflow the stream column packing");
-    if (config.runFor == 0)
-        fatal("cluster campaign: runFor must be nonzero");
-    if (config.clients == 0)
-        fatal("cluster campaign: zero clients");
-    if (config.arrivalsPerSec <= 0.0)
-        fatal("cluster campaign: arrival rate must be positive");
     if (config.agingSpread < 0.0 || config.agingSpread > 1.0)
         fatal("cluster campaign: agingSpread (", config.agingSpread,
               ") must be within [0, 1]");
@@ -142,126 +112,27 @@ ClusterCampaignResult
 runClusterCampaign(const ClusterCampaignConfig &config)
 {
     validate(config);
-
-    const std::uint64_t trials = clusterCampaignTrials(config);
-    const std::size_t cellCount = config.replicaCounts.size()
-                                  * config.intensities.size()
-                                  * config.modes.size();
-
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<cluster::ClusterResult> runs =
-        pool.map<cluster::ClusterResult>(
-            trials, [&config](std::uint64_t index) {
-                return cluster::runCluster(
-                    clusterTrialConfig(config, index));
-            });
-
-    // Fold in canonical index order: trial i belongs to cell
-    // i / seedsPerCell, and cells come out replicas-major.
-    ClusterCampaignResult result;
-    result.threads = config.threads;
-    result.trials = trials;
-    result.cells.resize(cellCount);
-
-    for (std::uint64_t i = 0; i < trials; ++i) {
-        const cluster::ClusterResult &r = runs[i];
-        const std::size_t cellIdx =
-            static_cast<std::size_t>(i / config.seedsPerCell);
-        ClusterCellStats &cell = result.cells[cellIdx];
-
-        if (cell.trials == 0) {
-            std::size_t c = cellIdx;
-            const std::size_t modeIdx = c % config.modes.size();
-            c /= config.modes.size();
-            cell.intensity =
-                config.intensities[c % config.intensities.size()];
-            cell.replicas =
-                config.replicaCounts[c / config.intensities.size()];
-            cell.mode = config.modes[modeIdx];
+    const std::size_t modes = config.modes.size();
+    const std::size_t intensities = config.intensities.size();
+    return runFleetCampaign<ClusterCampaignResult>(
+        clusterCampaignTrials(config), config.seedsPerCell,
+        config.replicaCounts.size() * intensities * modes,
+        config.threads,
+        [&config](std::uint64_t index) {
+            return clusterTrialConfig(config, index);
+        },
+        // Cells come out replicas-major, then intensity, then mode.
+        [&](ClusterCellStats &cell, std::size_t c) {
+            cell.mode = config.modes[c % modes];
             cell.modeName = net::persistModeName(cell.mode);
-        }
-
-        ++cell.trials;
-        cell.cutsInjected += r.cutsInjected;
-        cell.writeAvailMean += r.writeAvailability;
-        cell.writeAvailMin =
-            std::min(cell.writeAvailMin, r.writeAvailability);
-        cell.readAvailMean += r.readAvailability;
-        cell.readAvailMin =
-            std::min(cell.readAvailMin, r.readAvailability);
-        cell.worstWriteGap = std::max(cell.worstWriteGap,
-                                      r.worstWriteGap);
-        cell.readOnlySpans += r.readOnlySpans;
-        cell.completed += r.completed;
-        cell.failed += r.failed;
-        cell.ackedPuts += r.ackedPuts;
-        cell.redirects += r.redirects;
-        cell.elections += r.elections;
-        cell.leaderChanges += r.leaderChanges;
-        cell.stepDowns += r.stepDowns;
-        cell.syncDeltas += r.syncDeltas;
-        cell.syncFulls += r.syncFulls;
-        cell.syncBytes += r.syncBytes;
-        cell.resumes += r.resumes;
-        cell.coldBoots += r.coldBoots;
-        cell.degradedColdBoots += r.degradedColdBoots;
-        cell.lostAckedPuts += r.lostAckedPuts;
-        cell.splitBrainEpochs += r.splitBrainEpochs;
-        cell.divergentCommits += r.divergentCommits;
-        cell.violations += r.violations.size();
-
-        result.lostAckedPuts += r.lostAckedPuts;
-        result.splitBrainEpochs += r.splitBrainEpochs;
-        result.divergentCommits += r.divergentCommits;
-        result.violations += r.violations.size();
-        for (const std::string &note : r.violations) {
-            std::ostringstream tagged;
-            tagged << "trial " << i << " [" << r.modeName << " x"
-                   << r.replicas << "]: " << note;
-            if (result.violationNotes.size() < 64)
-                result.violationNotes.push_back(tagged.str());
-        }
-    }
-
-    for (ClusterCellStats &cell : result.cells) {
-        cell.writeAvailMean /= double(cell.trials);
-        cell.readAvailMean /= double(cell.trials);
-    }
-
-    // Determinism anchor: every cell counter plus the per-trial run
-    // digests, in canonical order.
-    sim::Fnv64 fnv;
-    fnv.mix(result.trials);
-    for (const cluster::ClusterResult &r : runs)
-        fnv.mix(r.digest);
-    for (const ClusterCellStats &cell : result.cells) {
-        fnv.mix(cell.replicas);
-        fnv.mix(cell.intensity);
-        fnv.mix(static_cast<std::uint64_t>(cell.mode));
-        fnv.mix(cell.trials);
-        fnv.mix(cell.cutsInjected);
-        fnv.mix(static_cast<std::uint64_t>(cell.worstWriteGap));
-        fnv.mix(cell.readOnlySpans);
-        fnv.mix(cell.completed);
-        fnv.mix(cell.failed);
-        fnv.mix(cell.ackedPuts);
-        fnv.mix(cell.redirects);
-        fnv.mix(cell.elections);
-        fnv.mix(cell.leaderChanges);
-        fnv.mix(cell.stepDowns);
-        fnv.mix(cell.syncDeltas);
-        fnv.mix(cell.syncFulls);
-        fnv.mix(cell.syncBytes);
-        fnv.mix(cell.resumes);
-        fnv.mix(cell.coldBoots);
-        fnv.mix(cell.degradedColdBoots);
-        fnv.mix(cell.lostAckedPuts);
-        fnv.mix(cell.splitBrainEpochs);
-        fnv.mix(cell.divergentCommits);
-        fnv.mix(cell.violations);
-    }
-    result.digest = fnv.h;
-    return result;
+            c /= modes;
+            cell.intensity = config.intensities[c % intensities];
+            cell.replicas = config.replicaCounts[c / intensities];
+        },
+        [](const cluster::ClusterResult &r, const ClusterCellStats &) {
+            return r.modeName + " x" + std::to_string(r.replicas);
+        },
+        clusterCellFields, clusterCampaignFields);
 }
 
 } // namespace lightpc::fault

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "net/service_plane.hh"
+#include "sim/fields.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::fault
@@ -111,9 +112,30 @@ struct EnergyCellStats
 
     /** Lowest state of charge (permille) at any event's onset. */
     std::uint64_t minSocPermille = 1000;
-
-    void merge(const EnergyCellStats &other);
 };
+
+/** Fold, digest and JSON rows of EnergyCellStats (sim/fields.hh). */
+inline constexpr auto energyCellFields = [] {
+    using C = EnergyCellStats;
+    return std::make_tuple(
+        sim::key("scale", &C::scale).fixed("%.3f"),
+        sim::key("joules", &C::provisionedJoules).fixed("%.4f"),
+        sim::key("intensity", &C::intensity),
+        sim::key("mode", &C::mode).named(net::persistModeNameAt),
+        sim::sum("trials", &C::trials, 0),
+        sim::sum("survived", &C::survivedTrials, 5),
+        sim::sum("cuts", &C::cuts, 1),
+        sim::sum("commits_durable", &C::commitsDurable, 2),
+        sim::sum("resumes", &C::resumes, 3),
+        sim::sum("cold_boots", &C::coldBoots, 4),
+        sim::sum("stops_deferred", &C::stopsDeferred, 6),
+        sim::sum("deferred_stops_admitted", &C::deferredStopsAdmitted,
+                 7),
+        sim::sum("proactive_stops", &C::proactiveStops, 8),
+        sim::sum("proactive_saves", &C::proactiveSaves, 9),
+        sim::minimum("min_soc_permille", &C::minSocPermille, 11),
+        sim::sum("violations", &C::violations, 10));
+}();
 
 /** Minimum provisioned storage for one (mode, intensity). */
 struct EnergyProvision
@@ -128,6 +150,20 @@ struct EnergyProvision
     double scale = 0.0;
     double joules = 0.0;
 };
+
+/**
+ * Digest and JSON rows of EnergyProvision; the rows are derived from
+ * the folded cells, so none folds.
+ */
+inline constexpr auto energyProvisionFields = std::make_tuple(
+    sim::key("mode", &EnergyProvision::mode)
+        .named(net::persistModeNameAt),
+    sim::key("intensity", &EnergyProvision::intensity),
+    sim::derived("met", &EnergyProvision::met, 0),
+    sim::derived("min_scale", &EnergyProvision::scale, 1)
+        .fixed("%.3f"),
+    sim::derived("min_joules", &EnergyProvision::joules)
+        .fixed("%.4f"));
 
 /** The merged campaign outcome. */
 struct EnergyCampaignResult
@@ -152,6 +188,27 @@ struct EnergyCampaignResult
     /** FNV-1a over every cell's counters; thread-invariant. */
     std::uint64_t digest = 0;
 };
+
+/**
+ * Fold and JSON rows of the fleet totals, which fold from the cells,
+ * and of the campaign's violation notes.
+ */
+inline constexpr auto energyCampaignFields = [] {
+    using C = EnergyCampaignResult;
+    using S = EnergyCellStats;
+    return std::make_tuple(
+        sim::sum("stops_deferred", &C::stopsDeferred)
+            .source(&S::stopsDeferred),
+        sim::sum("deferred_stops_admitted", &C::deferredStopsAdmitted)
+            .source(&S::deferredStopsAdmitted),
+        sim::sum("proactive_stops", &C::proactiveStops)
+            .source(&S::proactiveStops),
+        sim::sum("proactive_saves", &C::proactiveSaves)
+            .source(&S::proactiveSaves),
+        sim::sum("violations", &C::violations).source(&S::violations),
+        sim::notes(nullptr, &C::violationNotes),
+        sim::derived("digest", &C::digest).text("%016llx"));
+}();
 
 /**
  * Run the sweep. Trials fan out over a sim::ParallelExecutor; the

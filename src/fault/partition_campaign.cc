@@ -1,12 +1,10 @@
 #include "fault/partition_campaign.hh"
 
 #include <algorithm>
-#include <sstream>
 
 #include "fault/compound.hh"
-#include "sim/digest.hh"
+#include "fault/fleet_campaign.hh"
 #include "sim/logging.hh"
-#include "sim/parallel.hh"
 #include "sim/rng.hh"
 
 namespace lightpc::fault
@@ -18,35 +16,14 @@ namespace
 void
 validate(const PartitionCampaignConfig &config)
 {
-    if (config.seedsPerCell == 0)
-        fatal("partition campaign: seedsPerCell must be nonzero");
-    if (config.intensities.empty())
-        fatal("partition campaign: no nemesis intensities to sweep");
-    if (config.modes.empty())
-        fatal("partition campaign: no persistence modes to sweep");
-    for (const std::uint32_t intensity : config.intensities)
-        if (intensity < 1 || intensity > 3)
-            fatal("partition campaign: intensity ", intensity,
-                  " is not on the 1..3 nemesis ladder");
-    if (config.seedsPerCell > (std::uint64_t(1) << 32))
-        fatal("partition campaign: seedsPerCell ", config.seedsPerCell,
-              " overflows the 32-bit seed field of the stream "
-              "column packing");
-    if (config.intensities.size() > (std::size_t(1) << 24))
-        fatal("partition campaign: ", config.intensities.size(),
-              " intensities overflow the stream column packing");
+    validateFleetSweep("partition campaign", config,
+                       std::size_t(1) << 24);
     if (config.replicas < 3)
         fatal("partition campaign: needs >= 3 replicas (a partition "
               "against fewer has no minority island worth studying)");
     if (config.racks < 2 || config.racks > config.replicas)
         fatal("partition campaign: racks must be in [2, replicas] so "
               "a rack partition leaves both sides populated");
-    if (config.runFor == 0)
-        fatal("partition campaign: runFor must be nonzero");
-    if (config.clients == 0)
-        fatal("partition campaign: zero clients");
-    if (config.arrivalsPerSec <= 0.0)
-        fatal("partition campaign: arrival rate must be positive");
 }
 
 /** The partition mode seed index @p seed_idx exercises. */
@@ -252,154 +229,25 @@ PartitionCampaignResult
 runPartitionCampaign(const PartitionCampaignConfig &config)
 {
     validate(config);
-
-    const std::uint64_t trials = partitionCampaignTrials(config);
-    const std::size_t cellCount =
-        config.intensities.size() * config.modes.size();
-
-    sim::ParallelExecutor pool(config.threads);
-    const std::vector<cluster::ClusterResult> runs =
-        pool.map<cluster::ClusterResult>(
-            trials, [&config](std::uint64_t index) {
-                return cluster::runCluster(
-                    partitionTrialConfig(config, index));
-            });
-
-    // Fold in canonical index order: trial i belongs to cell
-    // i / seedsPerCell, and cells come out intensity-major.
-    PartitionCampaignResult result;
-    result.threads = config.threads;
-    result.trials = trials;
-    result.cells.resize(cellCount);
-
-    for (std::uint64_t i = 0; i < trials; ++i) {
-        const cluster::ClusterResult &r = runs[i];
-        const std::size_t cellIdx =
-            static_cast<std::size_t>(i / config.seedsPerCell);
-        PartitionCellStats &cell = result.cells[cellIdx];
-
-        if (cell.trials == 0) {
-            const std::size_t modeIdx = cellIdx % config.modes.size();
-            cell.intensity =
-                config.intensities[cellIdx / config.modes.size()];
-            cell.mode = config.modes[modeIdx];
+    const std::size_t modes = config.modes.size();
+    return runFleetCampaign<PartitionCampaignResult>(
+        partitionCampaignTrials(config), config.seedsPerCell,
+        config.intensities.size() * modes, config.threads,
+        [&config](std::uint64_t index) {
+            return partitionTrialConfig(config, index);
+        },
+        // Cells come out intensity-major, then mode.
+        [&](PartitionCellStats &cell, std::size_t c) {
+            cell.intensity = config.intensities[c / modes];
+            cell.mode = config.modes[c % modes];
             cell.modeName = net::persistModeName(cell.mode);
-        }
-
-        ++cell.trials;
-        cell.cutsInjected += r.cutsInjected;
-        cell.writeAvailMean += r.writeAvailability;
-        cell.writeAvailMin =
-            std::min(cell.writeAvailMin, r.writeAvailability);
-        cell.readAvailMean += r.readAvailability;
-        cell.readAvailMin =
-            std::min(cell.readAvailMin, r.readAvailability);
-        cell.worstWriteGap =
-            std::max(cell.worstWriteGap, r.worstWriteGap);
-        cell.completed += r.completed;
-        cell.failed += r.failed;
-        cell.ackedPuts += r.ackedPuts;
-        cell.redirects += r.redirects;
-        cell.fastRedirects += r.fastRedirects;
-        cell.redirectFallbacks += r.redirectFallbacks;
-        cell.msgsDropped += r.msgsDropped;
-        cell.msgsDuplicated += r.msgsDuplicated;
-        cell.msgsReordered += r.msgsReordered;
-        cell.partitionCuts += r.partitionCuts;
-        cell.flapCuts += r.flapCuts;
-        cell.elections += r.elections;
-        cell.leaderChanges += r.leaderChanges;
-        cell.preVoteRounds += r.preVoteRounds;
-        cell.electionsSuppressed += r.electionsSuppressed;
-        cell.retransmits += r.retransmits;
-        cell.syncRetries += r.syncRetries;
-        cell.duplicateAckAudits += r.duplicateAckAudits;
-        cell.syncDeltas += r.syncDeltas;
-        cell.syncFulls += r.syncFulls;
-        cell.auditedWrites += r.auditedWrites;
-        cell.auditedReads += r.auditedReads;
-        cell.staleReads += r.staleReads;
-        cell.notFoundReads += r.notFoundReads;
-        cell.lostAckedPuts += r.lostAckedPuts;
-        cell.splitBrainEpochs += r.splitBrainEpochs;
-        cell.divergentCommits += r.divergentCommits;
-        cell.lostUpdates += r.lostUpdates;
-        cell.orderInversions += r.orderInversions;
-        cell.phantomReads += r.phantomReads;
-        cell.valueDivergences += r.valueDivergences;
-        cell.violations += r.violations.size();
-
-        result.lostAckedPuts += r.lostAckedPuts;
-        result.splitBrainEpochs += r.splitBrainEpochs;
-        result.divergentCommits += r.divergentCommits;
-        result.lostUpdates += r.lostUpdates;
-        result.orderInversions += r.orderInversions;
-        result.phantomReads += r.phantomReads;
-        result.valueDivergences += r.valueDivergences;
-        result.violations += r.violations.size();
-        for (const std::string &note : r.violations) {
-            std::ostringstream tagged;
-            tagged << "trial " << i << " [" << r.modeName
-                   << " intensity "
-                   << result.cells[cellIdx].intensity
-                   << "]: " << note;
-            if (result.violationNotes.size() < 64)
-                result.violationNotes.push_back(tagged.str());
-        }
-    }
-
-    for (PartitionCellStats &cell : result.cells) {
-        cell.writeAvailMean /= double(cell.trials);
-        cell.readAvailMean /= double(cell.trials);
-    }
-
-    // Determinism anchor: every cell counter plus the per-trial run
-    // digests, in canonical order.
-    sim::Fnv64 fnv;
-    fnv.mix(result.trials);
-    for (const cluster::ClusterResult &r : runs)
-        fnv.mix(r.digest);
-    for (const PartitionCellStats &cell : result.cells) {
-        fnv.mix(cell.intensity);
-        fnv.mix(static_cast<std::uint64_t>(cell.mode));
-        fnv.mix(cell.trials);
-        fnv.mix(cell.cutsInjected);
-        fnv.mix(static_cast<std::uint64_t>(cell.worstWriteGap));
-        fnv.mix(cell.completed);
-        fnv.mix(cell.failed);
-        fnv.mix(cell.ackedPuts);
-        fnv.mix(cell.redirects);
-        fnv.mix(cell.fastRedirects);
-        fnv.mix(cell.redirectFallbacks);
-        fnv.mix(cell.msgsDropped);
-        fnv.mix(cell.msgsDuplicated);
-        fnv.mix(cell.msgsReordered);
-        fnv.mix(cell.partitionCuts);
-        fnv.mix(cell.flapCuts);
-        fnv.mix(cell.elections);
-        fnv.mix(cell.leaderChanges);
-        fnv.mix(cell.preVoteRounds);
-        fnv.mix(cell.electionsSuppressed);
-        fnv.mix(cell.retransmits);
-        fnv.mix(cell.syncRetries);
-        fnv.mix(cell.duplicateAckAudits);
-        fnv.mix(cell.syncDeltas);
-        fnv.mix(cell.syncFulls);
-        fnv.mix(cell.auditedWrites);
-        fnv.mix(cell.auditedReads);
-        fnv.mix(cell.staleReads);
-        fnv.mix(cell.notFoundReads);
-        fnv.mix(cell.lostAckedPuts);
-        fnv.mix(cell.splitBrainEpochs);
-        fnv.mix(cell.divergentCommits);
-        fnv.mix(cell.lostUpdates);
-        fnv.mix(cell.orderInversions);
-        fnv.mix(cell.phantomReads);
-        fnv.mix(cell.valueDivergences);
-        fnv.mix(cell.violations);
-    }
-    result.digest = fnv.h;
-    return result;
+        },
+        [](const cluster::ClusterResult &r,
+           const PartitionCellStats &cell) {
+            return r.modeName + " intensity "
+                   + std::to_string(cell.intensity);
+        },
+        partitionCellFields, partitionCampaignFields);
 }
 
 } // namespace lightpc::fault

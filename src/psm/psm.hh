@@ -34,6 +34,7 @@
 #include <memory>
 #include <vector>
 
+#include "mem/memory_port.hh"
 #include "mem/request.hh"
 #include "psm/bare_nvdimm.hh"
 #include "psm/retire.hh"
@@ -418,6 +419,24 @@ class Psm
     PsmStats _stats;
     stats::Histogram readHist;
     stats::Histogram writeHist;
+};
+
+/** A mem::MemoryPort view over a Psm (TimedMem plumbing). */
+class PsmMemPort : public mem::MemoryPort
+{
+  public:
+    explicit PsmMemPort(Psm &psm) : psm(psm) {}
+
+    mem::AccessResult
+    access(const mem::MemRequest &req, Tick when) override
+    {
+        return psm.access(req, when);
+    }
+
+    Tick fence(Tick when) override { return psm.flush(when); }
+
+  private:
+    Psm &psm;
 };
 
 } // namespace lightpc::psm

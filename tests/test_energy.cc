@@ -478,10 +478,10 @@ TEST(EnergyCellStatsMerge, MergeIsOrderIndependent)
 
     EnergyCellStats forward;
     for (std::uint64_t k = 1; k <= 5; ++k)
-        forward.merge(make(k));
+        sim::fold(forward, make(k), fault::energyCellFields);
     EnergyCellStats backward;
     for (std::uint64_t k = 5; k >= 1; --k)
-        backward.merge(make(k));
+        sim::fold(backward, make(k), fault::energyCellFields);
 
     EXPECT_EQ(forward.trials, backward.trials);
     EXPECT_EQ(forward.cuts, backward.cuts);
