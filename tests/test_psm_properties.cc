@@ -108,16 +108,19 @@ TEST_P(PsmProperty, AccessInvariantsUnderRandomTraffic)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, PsmProperty,
-    ::testing::Values(
-        PsmCase{true, true, true, DimmLayout::DualChannel, 1},
-        PsmCase{true, true, false, DimmLayout::DualChannel, 2},
-        PsmCase{false, false, true, DimmLayout::DualChannel, 3},
-        PsmCase{false, false, false, DimmLayout::DualChannel, 4},
-        PsmCase{true, false, true, DimmLayout::DualChannel, 5},
-        PsmCase{true, true, true, DimmLayout::DramLike, 6},
-        PsmCase{false, false, true, DimmLayout::DramLike, 7}));
+// Static storage zero-fills the padding after the flags, so the printed
+// parameter, and the CTest name built from it, is the same on every build.
+const PsmCase kPsmCases[] = {
+    {true, true, true, DimmLayout::DualChannel, 1},
+    {true, true, false, DimmLayout::DualChannel, 2},
+    {false, false, true, DimmLayout::DualChannel, 3},
+    {false, false, false, DimmLayout::DualChannel, 4},
+    {true, false, true, DimmLayout::DualChannel, 5},
+    {true, true, true, DimmLayout::DramLike, 6},
+    {false, false, true, DimmLayout::DramLike, 7},
+};
+
+INSTANTIATE_TEST_SUITE_P(Modes, PsmProperty, ::testing::ValuesIn(kPsmCases));
 
 TEST(PsmProperty, DeterministicAcrossIdenticalRuns)
 {
