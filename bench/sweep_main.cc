@@ -30,11 +30,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "campaign_io.hh"
 #include "fault/campaign.hh"
 #include "sim/event_queue.hh"
 #include "sim/legacy_event_queue.hh"
@@ -248,14 +250,23 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A whole decimal count no larger than @p max, else usage.
+        auto count = [&](std::uint64_t max) {
+            std::uint64_t v = 0;
+            if (!bench::parseUnsigned(value(), max, v))
+                std::exit(usage(argv[0]));
+            return v;
+        };
         if (arg == "-j")
             threads = lightpc::sim::parseThreadsArg(value());
         else if (arg == "--events")
-            events = std::strtoull(value(), nullptr, 10);
+            events = count(std::numeric_limits<std::uint64_t>::max());
         else if (arg == "--reps")
-            reps = static_cast<unsigned>(std::atoi(value()));
+            reps = static_cast<unsigned>(
+                count(std::numeric_limits<unsigned>::max()));
         else if (arg == "--campaign-cuts")
-            campaignCuts = std::strtoull(value(), nullptr, 10);
+            campaignCuts =
+                count(std::numeric_limits<std::uint64_t>::max());
         else if (arg == "--out")
             out = value();
         else

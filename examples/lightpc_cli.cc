@@ -17,6 +17,9 @@
  *     --record <file>             dump the workload's instruction
  *                                 trace to a file and exit
  *
+ *   --scale, --freq and --cores take a whole positive decimal;
+ *   anything else prints the usage line and exits 2.
+ *
  * Examples:
  *   lightpc_cli --workload mcf --platform LightPC-B
  *   lightpc_cli --workload AMG --powerfail
@@ -26,8 +29,10 @@
 
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
+#include "../bench/campaign_io.hh"
 #include "platform/system.hh"
 #include "power/psu.hh"
 #include "stats/table.hh"
@@ -94,6 +99,13 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A whole positive decimal no larger than @p max, else usage.
+        auto count = [&](std::uint64_t max) {
+            std::uint64_t v = 0;
+            if (!bench::parseUnsigned(value(), max, v) || v == 0)
+                std::exit(usage(argv[0]));
+            return v;
+        };
         if (arg == "--list")
             opt.list = true;
         else if (arg == "--workload")
@@ -106,12 +118,13 @@ main(int argc, char **argv)
             if (!parsePlatform(value(), opt.kind))
                 return usage(argv[0]);
         } else if (arg == "--scale")
-            opt.scale = std::stoull(value());
+            opt.scale = count(std::numeric_limits<std::uint64_t>::max());
         else if (arg == "--freq")
-            opt.freqMhz = std::stoull(value());
+            opt.freqMhz =
+                count(std::numeric_limits<std::uint64_t>::max());
         else if (arg == "--cores")
             opt.cores = static_cast<std::uint32_t>(
-                std::stoul(value()));
+                count(std::numeric_limits<std::uint32_t>::max()));
         else if (arg == "--powerfail")
             opt.powerfail = true;
         else

@@ -10,11 +10,7 @@
 
 #include "cluster/history_audit.hh"
 #include "energy/storage.hh"
-#include "fault/fault_injector.hh"
-#include "mem/timed_mem.hh"
-#include "net/availability.hh"
-#include "persist/checkpoint.hh"
-#include "platform/system.hh"
+#include "net/service_node.hh"
 #include "sim/digest.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -32,40 +28,6 @@ constexpr std::uint64_t retransmitWindow = 32;
 
 /** A follower further behind than this is out of the write quorum. */
 constexpr std::uint64_t syncedLagRecords = 64;
-
-platform::SystemConfig
-sysConfigFor(const ClusterConfig &cfg, std::uint32_t id)
-{
-    platform::SystemConfig sc;
-    sc.kind = platform::PlatformKind::LightPC;
-    // Decorrelate the machines: replica id folds into every seed.
-    sc.seed = cfg.seed ^ ((id + 1) * 0x9e3779b97f4a7c15ULL);
-    sc.kernel.cores = sc.cores;
-    sc.kernel.userProcesses = cfg.userProcesses;
-    sc.kernel.kernelThreads = cfg.kernelThreads;
-    sc.kernel.deviceCount = cfg.deviceCount;
-    sc.kernel.busy = true;
-    sc.kernel.seed = sc.seed ^ 0x6b65726eULL;  // "kern"
-    return sc;
-}
-
-net::KvParams
-kvParamsFor(const ClusterConfig &cfg)
-{
-    net::KvParams kp = cfg.kv;
-    if (cfg.mode == net::PersistMode::ACheckPc)
-        kp.checkpointBytesPerOp = cfg.acheckBytesPerOp;
-    if (cfg.mode == net::PersistMode::OpLog)
-        kp.writePath = net::WritePath::OpLog;
-    // Same retention rule as the single-node plane, widened by a cold
-    // reboot: a replica can be dark for offDwell + coldReboot and a
-    // conforming client may still be retrying into it afterwards.
-    persist::ImageCosts costs;
-    kp.dedupRetention = cfg.fleet.maxRetrySpan() + cfg.requestDeadline
-        + 2 * cfg.wireLatency + cfg.offDwell + cfg.holdup
-        + costs.coldReboot;
-    return kp;
-}
 
 /**
  * Replica @p id's stored-energy hold-up under the fleet's aging
@@ -89,6 +51,24 @@ agedHoldup(const ClusterConfig &cfg, std::uint32_t id)
         / cell.spec().capacityJoules;
     return static_cast<Tick>(static_cast<double>(cfg.holdup)
                              * factor);
+}
+
+/** Replica @p id's machine. */
+net::NodeParams
+nodeParamsFor(const ClusterConfig &cfg, std::uint32_t id)
+{
+    net::NodeParams np = net::nodeParamsOf(cfg);
+    np.id = id;
+    // Decorrelate the machines: replica id folds into every seed.
+    np.seed = cfg.seed ^ ((id + 1) * 0x9e3779b97f4a7c15ULL);
+    np.rngSeed = Rng::streamSeed(cfg.seed, 1000 + id);
+    np.scrambleSeed = Rng::streamSeed(cfg.seed, 2000 + id);
+    np.holdup = agedHoldup(cfg, id);
+    // Same retention rule as the single-node plane, widened by a cold
+    // reboot: a replica can be dark for offDwell + coldReboot and a
+    // conforming client may still be retrying into it afterwards.
+    np.kv.dedupRetention += persist::ImageCosts().coldReboot;
+    return np;
 }
 
 net::FleetParams
@@ -185,51 +165,30 @@ struct Peer
 };
 
 /**
- * One full LightPC machine plus its replication state. The `staged`
- * map is the follower's *durable* log tail: each accepted proposal is
- * persisted (a small undo transaction over the replica's own pool
- * root) before the ack departs, so it survives a cold boot — that is
- * what keeps Raft's quorum-overlap argument sound when a whole rack
- * cold-boots. The `journal` is the volatile DRAM window of committed
- * records used to serve delta syncs: it rides a Stop-and-Go resume
- * but is lost to a cold boot, which is exactly the asymmetry that
- * sends checkpointing baselines through the full resync path.
+ * One replica: a full LightPC machine (net::ServiceNode) plus its
+ * replication state. The `staged` map is the follower's *durable*
+ * log tail: each accepted proposal is persisted (a small undo
+ * transaction over the replica's own pool root) before the ack
+ * departs, so it survives a cold boot — that is what keeps Raft's
+ * quorum-overlap argument sound when a whole rack cold-boots. The
+ * `journal` is the volatile DRAM window of committed records used to
+ * serve delta syncs: it rides a Stop-and-Go resume but is lost to a
+ * cold boot, which is exactly the asymmetry that sends checkpointing
+ * baselines through the full resync path.
  */
 struct Replica
 {
-    explicit Replica(Tick window) : recorder(window) {}
+    Replica(const net::NodeParams &params, net::NodeHost &host,
+            EventQueue &eq)
+        : id(params.id), node(params, host, &eq)
+    {}
 
-    std::uint32_t id = 0;
+    const std::uint32_t id;
+    net::ServiceNode node;
+    Rng ctrlRng{1};  ///< election jitter
 
-    /**
-     * This machine's stored-energy hold-up: ClusterConfig::holdup
-     * derated by the replica's seeded storage aging (== the config
-     * value when agingSpread is 0).
-     */
-    Tick holdup = 0;
-    std::unique_ptr<platform::System> sys;
-    std::unique_ptr<net::NicDevice> nic;
-    std::unique_ptr<mem::TimedMem> timed;
-    std::unique_ptr<net::KvService> kv;
-    std::unique_ptr<fault::FaultInjector> injector;
-    std::unique_ptr<persist::SysPc> sysPc;
-    std::unique_ptr<persist::SCheckPc> sCheck;
-    net::AvailabilityRecorder recorder;
-    Rng rng{1};          ///< torn seeds, dump bodies
-    Rng scrambleRng{1};  ///< volatile-loss corruption
-    Rng ctrlRng{1};      ///< election jitter
-
-    // Machine state.
-    bool powerOn = true;
-    bool serviceUp = true;
-    bool dumpStall = false;  ///< S-CheckPC stop-the-world dump
-    bool serverBusy = false;
-    bool txDraining = false;
-    bool pendingColdBoot = false;
     bool hbArmed = false;
 
-    /** Machine-side event guard; bumped at every power event. */
-    std::uint64_t gen = 0;
     /** Guard for the pending restore (recovery-window cuts extend). */
     std::uint64_t restoreGen = 0;
     std::uint32_t failedResumes = 0;
@@ -284,21 +243,11 @@ struct Replica
 
     bool metaDirty = false;  ///< commit meta awaiting the group commit
 
-    // Service pump state (mirrors the single-node plane).
-    net::RpcResponse pendingResp{};
-    bool havePendingResp = false;
-    bool pendingDeferred = false;
-    std::vector<net::RpcResponse> deferredAcks;
-    bool commitScheduled = false;
-    bool drainScheduled = false;
-
     /** Per-destination link serialization cursor (FIFO per pair). */
     std::vector<Tick> linkBusyTo;
 
     /** Last scheduled arrival per destination (nemesis FIFO shaping). */
     std::vector<Tick> lastArriveTo;
-
-    bool canServe() const { return powerOn && serviceUp && !dumpStall; }
 
     /** Highest sequence this replica holds (applied or staged). */
     std::uint64_t
@@ -320,14 +269,15 @@ struct CommitLedger
  * One live cluster run: N machines, the client fleet, and one master
  * event queue. Event closures capture `this` plus a replica id and a
  * generation guard; the per-replica System event queues are unused
- * (every subsystem call here is synchronous against `eq`).
+ * (every subsystem call here is synchronous against `eq`). Each
+ * replica's node reaches the replication protocol through the
+ * NodeHost hooks.
  */
-struct Plane
+struct Plane final : net::NodeHost
 {
     const ClusterConfig &cfg;
     EventQueue eq;
     net::ClientFleet fleet;
-    persist::ImageCosts imageCosts;
     std::vector<std::unique_ptr<Replica>> reps;
 
     /** Load balancer's current leader belief (from leader hints). */
@@ -361,25 +311,9 @@ struct Plane
         res.replicas = cfg.replicas;
         res.racks = cfg.racks;
         for (std::uint32_t id = 0; id < cfg.replicas; ++id) {
-            auto r = std::make_unique<Replica>(cfg.goodputWindow);
-            r->id = id;
-            r->sys = std::make_unique<platform::System>(
-                sysConfigFor(cfg, id));
-            r->nic = std::make_unique<net::NicDevice>(
-                r->sys->kernel().devices(), "eth0", cfg.nic);
-            r->timed = std::make_unique<mem::TimedMem>(
-                r->sys->memoryPort(), &r->sys->pmemStore());
-            r->kv = std::make_unique<net::KvService>(
-                r->sys->pmemStore(), *r->timed, kvParamsFor(cfg));
-            r->injector = std::make_unique<fault::FaultInjector>(
-                r->sys->pmemStore());
-            r->sysPc = std::make_unique<persist::SysPc>(*r->timed);
-            r->sCheck = std::make_unique<persist::SCheckPc>(
-                *r->timed, cfg.scheckPeriod);
-            r->rng = Rng(Rng::streamSeed(cfg.seed, 1000 + id));
-            r->scrambleRng = Rng(Rng::streamSeed(cfg.seed, 2000 + id));
+            auto r = std::make_unique<Replica>(nodeParamsFor(cfg, id),
+                                               *this, eq);
             r->ctrlRng = Rng(Rng::streamSeed(cfg.seed, 3000 + id));
-            r->holdup = agedHoldup(cfg, id);
             r->peers.assign(cfg.replicas, Peer{});
             r->linkBusyTo.assign(cfg.replicas, 0);
             r->lastArriveTo.assign(cfg.replicas, 0);
@@ -414,8 +348,35 @@ struct Plane
     persistMeta(Replica &r, Tick from = 0)
     {
         Tick t = std::max(from, eq.now());
-        r.kv->persistClusterMeta(t, metaOf(r));
+        r.node.kv.persistClusterMeta(t, metaOf(r));
         return t;
+    }
+
+    /**
+     * OpLog mode: the replication watermark persists only after the
+     * records it covers are durable, so it rides each group commit.
+     */
+    void
+    logCommitted(net::ServiceNode &node, Tick &t) override
+    {
+        Replica &r = *reps[node.params.id];
+        if (r.metaDirty) {
+            r.node.kv.persistClusterMeta(t, metaOf(r));
+            r.metaDirty = false;
+        }
+    }
+
+    /**
+     * OpLog mode: commit and drain the whole log backlog, so the pool
+     * is authoritative (version assignment, snapshots).
+     */
+    void
+    drainLog(Replica &r)
+    {
+        Tick t = eq.now();
+        r.node.kv.logCommit(t);
+        r.node.kv.logDrainAll(t);
+        logCommitted(r.node, t);
     }
 
     /** Epoch of the record at sequence @p s of @p r's chain. */
@@ -452,20 +413,6 @@ struct Plane
             res.violations.push_back(msg);
     }
 
-    /** A-CheckPC's synchronous per-op checkpoint on the apply path. */
-    void
-    chargeCheckpoint(Replica &r, Tick &t)
-    {
-        const net::KvParams &kp = r.kv->params();
-        if (kp.checkpointBytesPerOp == 0)
-            return;
-        const std::uint64_t pages =
-            (kp.checkpointBytesPerOp + 4095) / 4096;
-        t += pages * kp.checkpointPerPage;
-        t = r.timed->writeSpan(t, kp.checkpointBase,
-                               kp.checkpointBytesPerOp);
-    }
-
     // --- fleet availability ---------------------------------------
 
     /**
@@ -481,7 +428,7 @@ struct Plane
         bool w = false;
         bool rd = false;
         for (const auto &rp : reps) {
-            if (!rp->canServe())
+            if (!rp->node.canServe())
                 continue;
             rd = true;
             if (rp->role != Role::Leader)
@@ -605,7 +552,7 @@ struct Plane
     deliver(std::uint32_t to, const Msg &m)
     {
         Replica &r = *reps[to];
-        if (!r.canServe()) {
+        if (!r.node.canServe()) {
             ++res.ctrlDrops;
             return;
         }
@@ -633,13 +580,13 @@ struct Plane
     routeTarget(std::uint64_t req_id, std::uint32_t attempt) const
     {
         if (lbLeader != invalidReplica && lbLeader < cfg.replicas
-            && reps[lbLeader]->canServe())
+            && reps[lbLeader]->node.canServe())
             return lbLeader;
         const std::uint32_t start = static_cast<std::uint32_t>(
             (req_id * 1315423911ULL + attempt) % cfg.replicas);
         for (std::uint32_t i = 0; i < cfg.replicas; ++i) {
             const std::uint32_t cand = (start + i) % cfg.replicas;
-            if (reps[cand]->canServe())
+            if (reps[cand]->node.canServe())
                 return cand;
         }
         return start;
@@ -663,8 +610,9 @@ struct Plane
         const std::uint32_t target = routeTarget(req.reqId,
                                                  req.attempt);
         req.deadline = now + cfg.requestDeadline;
-        eq.schedule(now + cfg.wireLatency,
-                    [this, req, target] { rxArrive(target, req); });
+        eq.schedule(now + cfg.wireLatency, [this, req, target] {
+            reps[target]->node.rxArrive(req);
+        });
         const Tick wait = fleet.timeoutFor(req.client, req.attempt);
         eq.schedule(now + cfg.wireLatency + wait,
                     [this, id = req.reqId, att = req.attempt] {
@@ -683,7 +631,7 @@ struct Plane
     }
 
     void
-    deliverResponse(const net::RpcResponse &resp)
+    deliver(const net::RpcResponse &resp) override
     {
         const Tick now = eq.now();
         if (resp.leaderHint != net::noLeaderHint
@@ -716,8 +664,8 @@ struct Plane
         const auto outcome = fleet.onResponse(resp, now);
         if (outcome == net::ClientFleet::AckOutcome::Completed) {
             if (resp.source < cfg.replicas)
-                reps[resp.source]->recorder.onSuccess(now, first,
-                                                      resp.servedAt);
+                reps[resp.source]->node.recorder.onSuccess(
+                    now, first, resp.servedAt);
             return;
         }
         if (outcome == net::ClientFleet::AckOutcome::RetriableError
@@ -750,63 +698,13 @@ struct Plane
         }
     }
 
-    // --- machine-side service pump --------------------------------
+    // --- node hooks: where the serving path meets replication ----
 
     void
-    rxArrive(std::uint32_t target, const net::RpcRequest &req)
+    stamp(const net::ServiceNode &node, net::RpcResponse &resp) override
     {
-        Replica &r = *reps[target];
-        if (!r.powerOn)
-            return;  // frame hits a dark machine
-        r.nic->rxPush(req);
-        kickService(r);
-    }
-
-    void
-    kickService(Replica &r)
-    {
-        if (!r.canServe() || r.serverBusy)
-            return;
-        const Tick now = eq.now();
-        net::RpcRequest f;
-        while (r.nic->rxPop(f)) {
-            if (!r.kv->admit(f)) {
-                net::RpcResponse rej;
-                rej.reqId = f.reqId;
-                rej.client = f.client;
-                rej.status = net::RpcStatus::Rejected;
-                rej.servedAt = now;
-                rej.attempt = f.attempt;
-                rej.source = r.id;
-                rej.leaderHint = hintOf(r);
-                r.nic->txPush(rej);
-            }
-        }
-        net::RpcRequest head;
-        if (!r.kv->queuePop(head)) {
-            kickTx(r);
-            return;
-        }
-        r.serverBusy = true;
-        Tick t = now;
-        r.pendingDeferred = false;
-        r.havePendingResp = true;
-        bool replicated = false;
-        if (head.op == workload::KvOp::Put) {
-            r.pendingResp = servePut(r, head, t, replicated);
-            r.havePendingResp = !replicated;
-        } else {
-            r.pendingResp = r.kv->execute(t, head, &r.pendingDeferred);
-            r.pendingResp.source = r.id;
-            r.pendingResp.leaderHint = hintOf(r);
-        }
-        const std::uint64_t g = r.gen;
-        const std::uint32_t rid = r.id;
-        eq.schedule(t, [this, rid, g] {
-            if (g == reps[rid]->gen)
-                serviceDone(*reps[rid]);
-        });
-        kickTx(r);
+        resp.source = node.params.id;
+        resp.leaderHint = hintOf(*reps[node.params.id]);
     }
 
     /**
@@ -815,24 +713,24 @@ struct Plane
      * answers READ_ONLY, and a quorum-backed leader runs the
      * replication path (propose now, ack at commit).
      */
-    net::RpcResponse
-    servePut(Replica &r, const net::RpcRequest &req, Tick &t,
-             bool &replicated)
+    PutRoute
+    routePut(net::ServiceNode &node, const net::RpcRequest &req, Tick &t,
+             net::RpcResponse &resp) override
     {
-        t += r.kv->params().parseCost;
-        net::RpcResponse resp;
+        Replica &r = *reps[node.params.id];
+        t += r.node.kv.params().parseCost;
+        resp = net::RpcResponse{};
         resp.reqId = req.reqId;
         resp.client = req.client;
         resp.attempt = req.attempt;
-        resp.source = r.id;
-        resp.leaderHint = hintOf(r);
+        stamp(node, resp);
         if (req.deadline != 0 && t > req.deadline) {
             resp.status = net::RpcStatus::DeadlineExceeded;
-            return resp;
+            return PutRoute::Answered;
         }
         if (r.role != Role::Leader) {
             resp.status = net::RpcStatus::NotLeader;
-            return resp;
+            return PutRoute::Answered;
         }
         // Retry of an already-durable PUT: idempotent ack (a write
         // ack from this leader, so it carries the epoch and joins
@@ -842,17 +740,17 @@ struct Plane
         // version, which may already belong to a later write (the
         // history audit would read that as a duplicated ack of the
         // later version).
-        if (const auto v = r.kv->appliedVersion(req.reqId)) {
+        if (const auto v = r.node.kv.appliedVersion(req.reqId)) {
             resp.status = net::RpcStatus::Ok;
             resp.version = *v;
             resp.epoch = r.epoch;
-            return resp;
+            return PutRoute::Answered;
         }
-        if (r.kv->logPending(req.reqId)) {
+        if (r.node.kv.logPending(req.reqId)) {
             resp.status = net::RpcStatus::Ok;
-            resp.version = r.kv->pendingVersion(req.reqId);
+            resp.version = r.node.kv.pendingVersion(req.reqId);
             resp.epoch = r.epoch;
-            return resp;
+            return PutRoute::Answered;
         }
         // Retry of a still-pending proposal: join its waiters.
         if (auto it = r.pendingByReq.find(req.reqId);
@@ -861,8 +759,7 @@ struct Plane
             if (op != r.pendingOps.end()) {
                 op->second.waiters.push_back(
                     Waiter{req.reqId, req.client, req.attempt});
-                replicated = true;
-                return resp;
+                return PutRoute::Replicating;
             }
         }
         // Quorum precheck: degrade to read-only instead of acking
@@ -873,13 +770,13 @@ struct Plane
                 ++live;
         if (live < majority()) {
             resp.status = net::RpcStatus::ReadOnly;
-            return resp;
+            return PutRoute::Answered;
         }
         std::uint64_t base = 0;
         if (auto lp = r.lastProposedVersion.find(req.key);
             lp != r.lastProposedVersion.end()) {
             base = lp->second;
-        } else if (const auto st = r.kv->lookup(req.key)) {
+        } else if (const auto st = r.node.kv.lookup(req.key)) {
             base = st->version;
         }
         ReplRecord rec;
@@ -908,137 +805,7 @@ struct Plane
             if (p != r.id)
                 proposeOne(r, p, rec, t);
         advanceCommit(r);  // a single-replica cluster self-commits
-        replicated = true;
-        return resp;
-    }
-
-    void
-    serviceDone(Replica &r)
-    {
-        r.serverBusy = false;
-        if (r.havePendingResp) {
-            if (r.pendingDeferred) {
-                r.deferredAcks.push_back(r.pendingResp);
-                maybeScheduleCommit(r);
-            } else {
-                r.nic->txPush(r.pendingResp);
-            }
-            r.havePendingResp = false;
-            r.pendingDeferred = false;
-        }
-        kickTx(r);
-        kickService(r);
-    }
-
-    void
-    kickTx(Replica &r)
-    {
-        if (!r.powerOn || r.txDraining || r.nic->txOccupancy() == 0)
-            return;
-        r.txDraining = true;
-        const std::uint64_t g = r.gen;
-        const std::uint32_t rid = r.id;
-        eq.scheduleIn(cfg.txDrainInterval, [this, rid, g] {
-            if (g == reps[rid]->gen)
-                txDrainFire(*reps[rid]);
-        });
-    }
-
-    void
-    txDrainFire(Replica &r)
-    {
-        r.txDraining = false;
-        net::RpcResponse resp;
-        if (!r.nic->txPop(resp))
-            return;
-        // On the wire: delivered even if the machine dies now.
-        eq.scheduleIn(cfg.wireLatency,
-                      [this, resp] { deliverResponse(resp); });
-        kickTx(r);
-    }
-
-    // --- op-log group commit / drain (per replica) ----------------
-
-    void
-    maybeScheduleCommit(Replica &r)
-    {
-        if (cfg.mode != net::PersistMode::OpLog)
-            return;
-        if (r.kv->logUncommittedRecords() >= cfg.oplogCommitRecords) {
-            commitFire(r);
-            return;
-        }
-        if (r.commitScheduled)
-            return;
-        r.commitScheduled = true;
-        const std::uint64_t g = r.gen;
-        const std::uint32_t rid = r.id;
-        eq.scheduleIn(cfg.oplogCommitInterval, [this, rid, g] {
-            reps[rid]->commitScheduled = false;
-            if (g == reps[rid]->gen)
-                commitFire(*reps[rid]);
-        });
-    }
-
-    void
-    commitFire(Replica &r)
-    {
-        if (!r.canServe())
-            return;
-        Tick t = eq.now();
-        r.kv->logCommit(t);
-        if (r.metaDirty) {
-            // The replication watermark persists only after the
-            // records it covers are durable.
-            r.kv->persistClusterMeta(t, metaOf(r));
-            r.metaDirty = false;
-        }
-        if (!r.deferredAcks.empty()) {
-            auto batch =
-                std::make_shared<std::vector<net::RpcResponse>>(
-                    std::move(r.deferredAcks));
-            r.deferredAcks.clear();
-            const std::uint64_t g = r.gen;
-            const std::uint32_t rid = r.id;
-            eq.schedule(t, [this, rid, g, batch] {
-                Replica &r2 = *reps[rid];
-                if (g != r2.gen)
-                    return;
-                const Tick now = eq.now();
-                for (net::RpcResponse resp : *batch) {
-                    resp.servedAt = now;
-                    r2.nic->txPush(resp);
-                }
-                kickTx(r2);
-            });
-        }
-        scheduleDrain(r);
-    }
-
-    void
-    scheduleDrain(Replica &r)
-    {
-        if (cfg.mode != net::PersistMode::OpLog || r.drainScheduled
-            || r.kv->logBacklogRecords() == 0)
-            return;
-        r.drainScheduled = true;
-        const std::uint64_t g = r.gen;
-        const std::uint32_t rid = r.id;
-        eq.scheduleIn(cfg.oplogDrainInterval, [this, rid, g] {
-            reps[rid]->drainScheduled = false;
-            if (g == reps[rid]->gen)
-                drainFire(*reps[rid]);
-        });
-    }
-
-    void
-    drainFire(Replica &r)
-    {
-        if (!r.canServe())
-            return;
-        Tick t = eq.now();
-        r.kv->logDrain(t, cfg.oplogDrainBatch);
-        scheduleDrain(r);
+        return PutRoute::Replicating;
     }
 
     // --- replication: leader side ---------------------------------
@@ -1128,67 +895,70 @@ struct Plane
                       "one epoch");
         }
         Tick t = eq.now();
+        applyRecord(r, rec, t);
+        pruneJournal(r);
+        std::vector<net::RpcResponse> acks;
+        for (const Waiter &w : op.waiters) {
+            net::RpcResponse resp;
+            resp.reqId = w.reqId;
+            resp.client = w.client;
+            resp.status = net::RpcStatus::Ok;
+            resp.version = rec.version;
+            resp.attempt = w.attempt;
+            resp.source = r.id;
+            resp.leaderHint = r.id;
+            resp.epoch = rec.epoch;
+            acks.push_back(resp);
+        }
         if (cfg.mode == net::PersistMode::OpLog) {
-            r.kv->appendReplicated(t, rec.reqId, rec.key,
-                                   rec.valueSeed, rec.version,
-                                   rec.client);
-            r.seqApplied = rec.seq;
-            r.appliedEpoch = rec.epoch;
-            r.journal[rec.seq] = rec;
-            pruneJournal(r);
+            // The acks and the watermark ride the next group commit.
             r.metaDirty = true;
-            for (const Waiter &w : op.waiters) {
-                net::RpcResponse resp;
-                resp.reqId = w.reqId;
-                resp.client = w.client;
-                resp.status = net::RpcStatus::Ok;
-                resp.version = rec.version;
-                resp.attempt = w.attempt;
-                resp.source = r.id;
-                resp.leaderHint = r.id;
-                resp.epoch = rec.epoch;
-                r.deferredAcks.push_back(resp);
-            }
-            maybeScheduleCommit(r);
+            r.node.deferAcks(acks);
         } else {
-            r.kv->applyReplicated(t, rec.reqId, rec.key, rec.valueSeed,
-                                  rec.version);
-            chargeCheckpoint(r, t);
-            r.seqApplied = rec.seq;
-            r.appliedEpoch = rec.epoch;
-            r.journal[rec.seq] = rec;
-            pruneJournal(r);
-            r.kv->persistClusterMeta(t, metaOf(r));
-            if (!op.waiters.empty()) {
-                auto batch =
-                    std::make_shared<std::vector<net::RpcResponse>>();
-                for (const Waiter &w : op.waiters) {
-                    net::RpcResponse resp;
-                    resp.reqId = w.reqId;
-                    resp.client = w.client;
-                    resp.status = net::RpcStatus::Ok;
-                    resp.version = rec.version;
-                    resp.attempt = w.attempt;
-                    resp.source = r.id;
-                    resp.leaderHint = r.id;
-                    resp.epoch = rec.epoch;
-                    batch->push_back(resp);
-                }
-                const std::uint64_t g = r.gen;
-                const std::uint32_t rid = r.id;
-                // Acks release once the apply + meta persist landed.
-                eq.schedule(t, [this, rid, g, batch] {
-                    Replica &r2 = *reps[rid];
-                    if (g != r2.gen)
-                        return;
-                    const Tick now = eq.now();
-                    for (net::RpcResponse resp : *batch) {
-                        resp.servedAt = now;
-                        r2.nic->txPush(resp);
-                    }
-                    kickTx(r2);
-                });
-            }
+            r.node.kv.persistClusterMeta(t, metaOf(r));
+            // Acks release once the apply + meta persist landed.
+            if (!acks.empty())
+                r.node.releaseAcks(
+                    t, std::make_shared<std::vector<net::RpcResponse>>(
+                           std::move(acks)));
+        }
+    }
+
+    /**
+     * Apply one committed record to the replica's KvService (append
+     * it to the op log in OpLog mode) and advance the applied prefix.
+     */
+    void
+    applyRecord(Replica &r, const ReplRecord &rec, Tick &t)
+    {
+        net::KvService &kv = r.node.kv;
+        if (cfg.mode == net::PersistMode::OpLog) {
+            kv.appendReplicated(t, rec.reqId, rec.key, rec.valueSeed,
+                                rec.version, rec.client);
+        } else {
+            kv.applyReplicated(t, rec.reqId, rec.key, rec.valueSeed,
+                               rec.version);
+            kv.chargeCheckpoint(t);
+        }
+        r.seqApplied = rec.seq;
+        r.appliedEpoch = rec.epoch;
+        r.journal[rec.seq] = rec;
+    }
+
+    /**
+     * Persist the replication watermark after applies that ran to
+     * @p t: at once on the undo path (advancing @p t), with the next
+     * group commit in OpLog mode (only after the records it covers
+     * are durable).
+     */
+    void
+    persistWatermark(Replica &r, Tick &t)
+    {
+        if (cfg.mode == net::PersistMode::OpLog) {
+            r.metaDirty = true;
+            r.node.maybeScheduleCommit();
+        } else {
+            r.node.kv.persistClusterMeta(t, metaOf(r));
         }
     }
 
@@ -1218,29 +988,13 @@ struct Plane
             if (it == r.staged.end())
                 break;
             const ReplRecord rec = it->second;
-            if (cfg.mode == net::PersistMode::OpLog) {
-                r.kv->appendReplicated(t, rec.reqId, rec.key,
-                                       rec.valueSeed, rec.version,
-                                       rec.client);
-            } else {
-                r.kv->applyReplicated(t, rec.reqId, rec.key,
-                                      rec.valueSeed, rec.version);
-                chargeCheckpoint(r, t);
-            }
-            r.seqApplied = rec.seq;
-            r.appliedEpoch = rec.epoch;
-            r.journal[rec.seq] = rec;
+            applyRecord(r, rec, t);
             r.staged.erase(it);
             any = true;
         }
         if (any) {
             pruneJournal(r);
-            if (cfg.mode == net::PersistMode::OpLog) {
-                r.metaDirty = true;
-                maybeScheduleCommit(r);
-            } else {
-                r.kv->persistClusterMeta(t, metaOf(r));
-            }
+            persistWatermark(r, t);
         }
         return t;
     }
@@ -1373,14 +1127,7 @@ struct Plane
         const bool wasLeader = r.role == Role::Leader;
         if (wasLeader) {
             ++res.stepDowns;
-            for (auto &[seq, op] : r.pendingOps)
-                r.staged[seq] = op.rec;
-            r.pendingOps.clear();
-            r.pendingByReq.clear();
-            r.lastProposedVersion.clear();
-            for (auto it = r.journal.upper_bound(r.seqApplied);
-                 it != r.journal.end();)
-                it = r.journal.erase(it);
+            localDemote(r);
         }
         // The verified prefix regresses to the committed one: any
         // staged tail past it belongs to the OLD epoch's chain, and
@@ -1479,8 +1226,8 @@ struct Plane
     {
         ++res.elections;
         for (const auto &o : reps)
-            if (o->id != r.id && o->role == Role::Leader && o->powerOn
-                && o->serviceUp) {
+            if (o->id != r.id && o->role == Role::Leader
+                && o->node.powerOn && o->node.serviceUp) {
                 ++res.falseSuspicions;
                 break;
             }
@@ -1571,17 +1318,10 @@ struct Plane
         r.pendingOps.clear();
         r.pendingByReq.clear();
         r.lastProposedVersion.clear();
-        if (cfg.mode == net::PersistMode::OpLog) {
-            // Make the pool authoritative for version assignment:
-            // commit and drain any backlog before taking writes.
-            Tick t = eq.now();
-            r.kv->logCommit(t);
-            r.kv->logDrainAll(t);
-            if (r.metaDirty) {
-                r.kv->persistClusterMeta(t, metaOf(r));
-                r.metaDirty = false;
-            }
-        }
+        // Make the pool authoritative for version assignment: commit
+        // and drain any op-log backlog before taking writes.
+        if (cfg.mode == net::PersistMode::OpLog)
+            drainLog(r);
         // Adopt the whole durable tail, re-tagged with the new epoch
         // (the re-tag is the "current-term barrier": commits only
         // ever count quorums of current-epoch records). The records
@@ -1640,11 +1380,11 @@ struct Plane
     void
     armHeartbeat(Replica &r)
     {
-        const std::uint64_t g = r.gen;
+        const std::uint64_t g = r.node.gen;
         const std::uint32_t rid = r.id;
         eq.scheduleIn(cfg.heartbeatInterval, [this, rid, g] {
             Replica &r2 = *reps[rid];
-            if (g != r2.gen)
+            if (g != r2.node.gen)
                 return;  // power event; cutFire cleared hbArmed
             if (r2.role != Role::Leader) {
                 r2.hbArmed = false;
@@ -1660,7 +1400,7 @@ struct Plane
         // A dump-stalled leader skips the round (its silence is what
         // lets S-CheckPC leaders get falsely deposed) but keeps the
         // cadence.
-        if (r.canServe())
+        if (r.node.canServe())
             hbRound(r);
         armHeartbeat(r);
     }
@@ -1781,15 +1521,8 @@ struct Plane
             // The journal window moved past the rejoiner (it was
             // dark through a cold boot): ship the whole machine
             // state over the link.
-            if (cfg.mode == net::PersistMode::OpLog) {
-                Tick t = eq.now();
-                r.kv->logCommit(t);
-                r.kv->logDrainAll(t);
-                if (r.metaDirty) {
-                    r.kv->persistClusterMeta(t, metaOf(r));
-                    r.metaDirty = false;
-                }
-            }
+            if (cfg.mode == net::PersistMode::OpLog)
+                drainLog(r);
             ++res.syncFulls;
             res.syncBytes += cfg.resyncStateBytes;
             Msg f;
@@ -1799,7 +1532,7 @@ struct Plane
             f.commit = r.seqApplied;
             f.lastEpoch = r.appliedEpoch;
             f.snap = std::make_shared<std::vector<net::KvKeyState>>(
-                r.kv->snapshotRecords());
+                r.node.kv.snapshotRecords());
             sendMsg(r, m.from, f, cfg.resyncStateBytes);
         }
     }
@@ -1819,18 +1552,7 @@ struct Plane
                 continue;
             if (rec.seq != r.seqApplied + 1)
                 break;
-            if (cfg.mode == net::PersistMode::OpLog) {
-                r.kv->appendReplicated(t, rec.reqId, rec.key,
-                                       rec.valueSeed, rec.version,
-                                       rec.client);
-            } else {
-                r.kv->applyReplicated(t, rec.reqId, rec.key,
-                                      rec.valueSeed, rec.version);
-                chargeCheckpoint(r, t);
-            }
-            r.seqApplied = rec.seq;
-            r.appliedEpoch = rec.epoch;
-            r.journal[rec.seq] = rec;
+            applyRecord(r, rec, t);
             any = true;
         }
         if (any) {
@@ -1850,12 +1572,7 @@ struct Plane
                  && it->first <= r.seqApplied;)
                 it = r.staged.erase(it);
             r.matchedSeq = r.seqApplied;
-            if (cfg.mode == net::PersistMode::OpLog) {
-                r.metaDirty = true;
-                maybeScheduleCommit(r);
-            } else {
-                r.kv->persistClusterMeta(t, metaOf(r));
-            }
+            persistWatermark(r, t);
             replyHbAck(r, m.from, t);
         }
     }
@@ -1879,8 +1596,8 @@ struct Plane
         }
         Tick t = eq.now();
         for (const net::KvKeyState &ks : *m.snap)
-            r.kv->applyReplicated(t, ks.lastReqId, ks.key,
-                                  ks.valueSeed, ks.version);
+            r.node.kv.applyReplicated(t, ks.lastReqId, ks.key,
+                                      ks.valueSeed, ks.version);
         r.seqApplied = m.commit;
         r.appliedEpoch = m.lastEpoch;
         // Same rule as the delta path: erase only the covered
@@ -1890,7 +1607,7 @@ struct Plane
             it = r.staged.erase(it);
         r.journal.clear();
         r.matchedSeq = r.seqApplied;
-        r.kv->persistClusterMeta(t, metaOf(r));
+        r.node.kv.persistClusterMeta(t, metaOf(r));
         replyHbAck(r, m.from, t);
     }
 
@@ -1917,11 +1634,11 @@ struct Plane
     void
     armElection(Replica &r, Tick delay)
     {
-        const std::uint64_t g = r.gen;
+        const std::uint64_t g = r.node.gen;
         const std::uint32_t rid = r.id;
         eq.scheduleIn(delay, [this, rid, g] {
             Replica &r2 = *reps[rid];
-            if (g != r2.gen)
+            if (g != r2.node.gen)
                 return;  // chain restarts at serviceUpFire
             electionFire(r2);
         });
@@ -1931,7 +1648,7 @@ struct Plane
     electionFire(Replica &r)
     {
         const Tick now = eq.now();
-        if (r.canServe() && r.role != Role::Leader && !r.syncInFlight
+        if (r.node.canServe() && r.role != Role::Leader && !r.syncInFlight
             && now - r.lastLeaderHeard >= cfg.electionTimeout)
             startPreVote(r);
         armElection(r, cfg.electionTimeout
@@ -1943,10 +1660,10 @@ struct Plane
     void
     armScheck(Replica &r, Tick delay)
     {
-        const std::uint64_t g = r.gen;
+        const std::uint64_t g = r.node.gen;
         const std::uint32_t rid = r.id;
         eq.scheduleIn(delay, [this, rid, g] {
-            if (g == reps[rid]->gen)
+            if (g == reps[rid]->node.gen)
                 scheckFire(*reps[rid]);
         });
     }
@@ -1955,20 +1672,19 @@ struct Plane
     scheckFire(Replica &r)
     {
         const Tick now = eq.now();
-        if (r.canServe()) {
-            r.dumpStall = true;
+        if (r.node.canServe()) {
+            // A cut ends the dump with the machine (see cutFire).
+            const Tick done = r.node.scheckDump(now);
             recomputeAvailability();
-            const Tick done = r.sCheck->dumpCommitted(
-                now, cfg.scheckVmBytes, r.rng.next());
-            const std::uint64_t g = r.gen;
+            const std::uint64_t g = r.node.gen;
             const std::uint32_t rid = r.id;
             eq.schedule(done, [this, rid, g] {
-                Replica &r2 = *reps[rid];
-                if (g != r2.gen)
+                net::ServiceNode &node = reps[rid]->node;
+                if (g != node.gen)
                     return;
-                r2.dumpStall = false;
-                kickService(r2);
-                kickTx(r2);
+                node.dumpStall = false;
+                node.kickService();
+                node.kickTx();
                 recomputeAvailability();
             });
         }
@@ -1997,89 +1713,26 @@ struct Plane
     cutFire(std::uint32_t rid)
     {
         Replica &r = *reps[rid];
+        net::ServiceNode &node = r.node;
         const Tick now = eq.now();
         ++res.cutsInjected;
-        if (!r.powerOn) {
+        if (!node.powerOn) {
             // A second storm cut on an already-dark replica extends
             // the outage.
             scheduleRestore(r, now + cfg.offDwell);
             return;
         }
-        r.recorder.outageBegin(now);
-        if (!r.serviceUp) {
+        node.recorder.outageBegin(now);
+        r.hbArmed = false;
+        if (!node.serviceUp) {
             // Cut inside the recovery window: the in-progress resume
             // dies; the supervisor backs off and escalates.
             ++res.resumeFailures;
             ++r.failedResumes;
-            ++r.gen;
-            r.hbArmed = false;
-            r.powerOn = false;
-            r.injector->armCut(now, r.rng.next());
-            scheduleRestore(r, now + cfg.offDwell);
-            recomputeAvailability();
-            return;
-        }
-        ++r.gen;
-        r.powerOn = false;
-        r.serviceUp = false;
-        r.dumpStall = false;
-        r.txDraining = false;
-        r.hbArmed = false;
-        r.pendingColdBoot = false;
-        r.injector->armCut(now + r.holdup, r.rng.next());
-
-        switch (cfg.mode) {
-        case net::PersistMode::SnG: {
-            if (r.serverBusy && r.havePendingResp) {
-                r.nic->txPush(r.pendingResp);
-                r.havePendingResp = false;
-            }
-            r.serverBusy = false;
-            const auto stop = r.sys->sng().stop(now, r.holdup);
-            r.pendingColdBoot = stop.commitFailed;
-            break;
-        }
-        case net::PersistMode::OpLog: {
-            // Emergency group commit inside the hold-up.
-            Tick t = now;
-            r.kv->logCommit(t);
-            if (r.metaDirty) {
-                r.kv->persistClusterMeta(t, metaOf(r));
-                r.metaDirty = false;
-            }
-            if (r.serverBusy && r.havePendingResp) {
-                if (r.pendingDeferred)
-                    r.deferredAcks.push_back(r.pendingResp);
-                else
-                    r.nic->txPush(r.pendingResp);
-                r.havePendingResp = false;
-                r.pendingDeferred = false;
-            }
-            for (net::RpcResponse resp : r.deferredAcks) {
-                resp.servedAt = now;
-                r.nic->txPush(resp);
-            }
-            r.deferredAcks.clear();
-            r.serverBusy = false;
-            const auto stop = r.sys->sng().stop(now, r.holdup);
-            r.pendingColdBoot = stop.commitFailed;
-            break;
-        }
-        case net::PersistMode::SysPc: {
-            r.serverBusy = false;
-            r.havePendingResp = false;
-            r.sysPc->dumpImageCommitted(
-                now, r.sys->kernel().systemImageBytes(),
-                r.rng.next());
-            r.pendingColdBoot = true;
-            break;
-        }
-        case net::PersistMode::SCheckPc:
-        case net::PersistMode::ACheckPc:
-            r.serverBusy = false;
-            r.havePendingResp = false;
-            r.pendingColdBoot = true;
-            break;
+            node.killRecovery(now);
+        } else {
+            node.dumpStall = false;
+            node.powerDown(now);
         }
         scheduleRestore(r, now + cfg.offDwell);
         recomputeAvailability();
@@ -2102,46 +1755,22 @@ struct Plane
     void
     restoreFire(Replica &r)
     {
+        net::ServiceNode &node = r.node;
         const Tick now = eq.now();
-        r.injector->powerRestored();
-        r.powerOn = true;
-        Tick upAt = now;
-        const bool sngMode = cfg.mode == net::PersistMode::SnG
-            || cfg.mode == net::PersistMode::OpLog;
+        node.powerRestored();
         // Supervisor escalation: past the attempt budget the EP-cut
         // image is suspect — invalidate it and take the degraded
         // cold-boot path deliberately.
-        if (sngMode && r.failedResumes >= cfg.supervisor.maxAttempts
-            && r.sys->sng().hasCommit()) {
-            r.sys->sng().invalidateCommit(now);
+        if (!net::isCheckpointBaseline(cfg.mode)
+            && r.failedResumes >= cfg.supervisor.maxAttempts
+            && node.sys.sng().hasCommit()) {
+            node.sys.sng().invalidateCommit(now);
             ++res.degradedColdBoots;
-            r.pendingColdBoot = true;
+            node.pendingColdBoot = true;
         }
-        switch (cfg.mode) {
-        case net::PersistMode::SnG:
-        case net::PersistMode::OpLog:
-            if (!r.pendingColdBoot && r.sys->sng().hasCommit()) {
-                r.sys->kernel().scramble(r.scrambleRng);
-                r.nic->scrambleVolatile(r.scrambleRng);
-                const auto go = r.sys->sng().resume(now);
-                res.ringPreservedFrames +=
-                    r.nic->rxOccupancy() + r.nic->txOccupancy();
-                upAt = go.done;
-                ++res.resumes;
-            } else {
-                upAt = coldBootRecover(r, now + imageCosts.coldReboot);
-            }
-            break;
-        case net::PersistMode::SysPc:
-            upAt = coldBootRecover(r, r.sysPc->recover(now));
-            break;
-        case net::PersistMode::SCheckPc:
-            upAt = coldBootRecover(r, r.sCheck->recoverAfterLoss(now));
-            break;
-        case net::PersistMode::ACheckPc:
-            upAt = coldBootRecover(r, now + imageCosts.coldReboot);
-            break;
-        }
+        Tick upAt = node.restore(now);
+        if (node.pendingColdBoot)
+            reloadDurableState(r);
         // Back off after failed resume attempts (capped).
         if (r.failedResumes > 0) {
             const Tick backoff = std::min<Tick>(
@@ -2151,35 +1780,25 @@ struct Plane
                 cfg.supervisor.backoffCap);
             upAt += backoff;
         }
-        const std::uint64_t g = r.gen;
+        const std::uint64_t g = node.gen;
         const std::uint32_t rid = r.id;
         eq.schedule(upAt, [this, rid, g] {
-            if (g == reps[rid]->gen)
+            if (g == reps[rid]->node.gen)
                 serviceUpFire(*reps[rid]);
         });
     }
 
-    /** @return service-up tick after reboot + pool recovery. */
-    Tick
-    coldBootRecover(Replica &r, Tick from)
+    /**
+     * After a cold boot the volatile replication state is gone;
+     * reload the durable words. The staged tail is durable (persisted
+     * before every ack) — only entries the committed prefix has since
+     * covered drop out. The journal, pending proposals, and leader
+     * role are DRAM casualties.
+     */
+    void
+    reloadDurableState(Replica &r)
     {
-        ++res.coldBoots;
-        auto &devices = r.sys->kernel().devices();
-        for (std::size_t i = 0; i < devices.count(); ++i)
-            devices.device(i).setSuspended(false);
-        res.ringFramesLost +=
-            r.nic->rxOccupancy() + r.nic->txOccupancy();
-        r.nic->resetVolatile();
-        r.kv->dropQueue();
-        r.deferredAcks.clear();
-        Tick t = from;
-        r.kv->recover(t);
-        // Volatile replication state is gone; reload the durable
-        // words. The staged tail is durable (persisted before every
-        // ack) — only entries the committed prefix has since covered
-        // drop out. The journal, pending proposals, and leader role
-        // are DRAM casualties.
-        const net::ClusterMeta meta = r.kv->clusterMeta();
+        const net::ClusterMeta meta = r.node.kv.clusterMeta();
         r.epoch = meta.epoch;
         r.voteWord = meta.voteWord;
         r.seqApplied = meta.commit;
@@ -2206,15 +1825,11 @@ struct Plane
         r.leaderKnown = invalidReplica;
         r.votesMask = 0;
         r.syncInFlight = false;
-        return t;
     }
 
     void
     serviceUpFire(Replica &r)
     {
-        const Tick now = eq.now();
-        r.serviceUp = true;
-        r.dumpStall = false;
         r.failedResumes = 0;
         // Every recovery re-enters as a follower; a surviving leader
         // (or a fresh election) re-establishes the epoch. A warm
@@ -2237,10 +1852,7 @@ struct Plane
                            + r.ctrlRng.below(cfg.electionJitter + 1));
         if (cfg.mode == net::PersistMode::SCheckPc)
             armScheck(r, cfg.scheckPeriod);
-        kickService(r);
-        kickTx(r);
-        maybeScheduleCommit(r);
-        scheduleDrain(r);
+        r.node.resumeService();
         recomputeAvailability();
     }
 
@@ -2282,11 +1894,18 @@ struct Plane
         res.partitionCuts = ns.partitionCuts;
         res.flapCuts = ns.flapCuts;
 
-        // Merge the per-replica recorders in id order (the merge is
-        // order-independent; id order keeps the digest canonical).
+        // Merge the per-replica recorders and counters in id order
+        // (the merge is order-independent; id order keeps the digest
+        // canonical).
         net::AvailabilityRecorder merged(cfg.goodputWindow);
-        for (const auto &rp : reps)
-            merged.merge(rp->recorder);
+        for (const auto &rp : reps) {
+            merged.merge(rp->node.recorder);
+            const net::NodeStats &st = rp->node.stats;
+            res.resumes += st.resumes;
+            res.coldBoots += st.coldBoots;
+            res.ringPreservedFrames += st.ringPreservedFrames;
+            res.ringFramesLost += st.ringFramesLost;
+        }
         auto &lat = merged.latency();
         res.meanUs = merged.latencySummaryUs().mean();
         res.p50Us = ticksToUs(lat.percentile(0.50));
@@ -2319,10 +1938,10 @@ struct Plane
             if (rp->seqApplied > best->seqApplied)
                 best = rp.get();
         for (const net::AckedPut &put : fleet.ackedPuts()) {
-            if (best->kv->logPending(put.reqId))
+            if (best->node.kv.logPending(put.reqId))
                 continue;
-            if (best->kv->isApplied(put.reqId)) {
-                const auto st = best->kv->lookup(put.key);
+            if (best->node.kv.isApplied(put.reqId)) {
+                const auto st = best->node.kv.lookup(put.key);
                 if (!st || st->version < put.version) {
                     ++res.lostAckedPuts;
                     violation("acked PUT's key version regressed on "
@@ -2402,7 +2021,7 @@ struct Plane
         for (const auto &rp : reps) {
             d.mix(rp->seqApplied);
             d.mix(rp->epoch);
-            d.mix(rp->kv->appliedCount());
+            d.mix(rp->node.kv.appliedCount());
         }
         d.mix(lat.percentile(0.99));
         d.mix(merged.lastSuccessAt());

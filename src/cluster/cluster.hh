@@ -170,7 +170,7 @@ struct ClusterConfig
     /** Client-side pause before a NOT_LEADER/READ_ONLY re-issue. */
     Tick redirectDelay = 150 * tickUs;
 
-    // --- per-mode knobs (mirror ServiceConfig) --------------------
+    // --- per-mode knobs (read by name by net::nodeParamsOf) -------
 
     Tick scheckPeriod = 100 * tickMs;
     std::uint64_t scheckVmBytes = std::uint64_t(48) << 20;

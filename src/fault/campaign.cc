@@ -6,6 +6,7 @@
 
 #include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
+#include "fault/trial_rig.hh"
 #include "kernel/kernel.hh"
 #include "mem/backing_store.hh"
 #include "mem/timed_mem.hh"
@@ -42,22 +43,6 @@ void
 countPhase(CampaignResult &result, CutPhase phase)
 {
     ++result.phaseCuts[static_cast<std::size_t>(phase)];
-}
-
-/**
- * Static platform load while @p active cores compute and the rest
- * idle, with the OC-PMEM DIMMs always powered.
- */
-double
-phaseWatts(const power::PowerModel &model, std::uint32_t active,
-           std::uint32_t idle, std::uint32_t pram_dimms)
-{
-    power::ActivitySample sample;
-    sample.coresActive = active;
-    sample.coresIdle = idle;
-    sample.coreUtilization = 1.0;
-    sample.pramDimms = pram_dimms;
-    return model.staticWattsOf(sample);
 }
 
 /**
@@ -258,15 +243,6 @@ runSngCampaign(const CampaignConfig &config)
 
 namespace
 {
-
-/** Shared fabric of one image-baseline trial. */
-struct ImageRig
-{
-    mem::BackingStore store;
-    psm::Psm psm;
-    psm::PsmMemPort port{psm};
-    mem::TimedMem pmem{port, &store};
-};
 
 constexpr std::uint64_t sysPcBaseBytes = 4 << 20;
 constexpr std::uint64_t sysPcDumpBytes = 8 << 20;
@@ -602,30 +578,6 @@ namespace
 // enough keys that every key sees multiple versions.
 constexpr std::uint64_t oplogPuts = 32;
 constexpr std::uint64_t oplogKeys = 8;
-
-net::KvParams
-oplogCampaignParams()
-{
-    net::KvParams params;
-    params.writePath = net::WritePath::OpLog;
-    params.keyCapacity = 64;
-    params.dedupCapacity = 256;
-    params.oplog.capacity = 8 * net::OpLog::recordBytes;
-    return params;
-}
-
-net::RpcRequest
-oplogPutReq(std::uint64_t id, std::uint64_t key, std::uint64_t seed)
-{
-    net::RpcRequest req;
-    req.reqId = id;
-    req.client = static_cast<std::uint32_t>(id % 5);
-    req.op = workload::KvOp::Put;
-    req.key = key;
-    req.valueSeed = seed;
-    req.deadline = maxTick;
-    return req;
-}
 
 } // namespace
 

@@ -6,6 +6,7 @@
 
 #include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
+#include "fault/trial_rig.hh"
 #include "mem/timed_mem.hh"
 #include "net/kv_service.hh"
 #include "persist/checkpoint.hh"
@@ -233,43 +234,6 @@ struct SngRig
     pecos::Sng sng{kern, psm, store, {}};
 };
 
-/** The image-baseline fabric for brownout retry trials. */
-struct ImageRig
-{
-    mem::BackingStore store;
-    psm::Psm psm;
-    psm::PsmMemPort port{psm};
-    mem::TimedMem pmem{port, &store};
-};
-
-/** Register/cookie round-trip check against a pre-stop snapshot. */
-bool
-stateRoundTrips(const kernel::SystemSnapshot &before,
-                const kernel::SystemSnapshot &after)
-{
-    if (after.entries.size() != before.entries.size()
-        || after.deviceCookies != before.deviceCookies)
-        return false;
-    for (std::size_t p = 0; p < after.entries.size(); ++p) {
-        if (after.entries[p].pid != before.entries[p].pid
-            || !(after.entries[p].regs == before.entries[p].regs))
-            return false;
-    }
-    return true;
-}
-
-double
-busyWatts(const power::PowerModel &model, std::uint32_t cores,
-          std::uint32_t pram_dimms)
-{
-    power::ActivitySample sample;
-    sample.coresActive = cores;
-    sample.coresIdle = 0;
-    sample.coreUtilization = 1.0;
-    sample.pramDimms = pram_dimms;
-    return model.staticWattsOf(sample);
-}
-
 } // namespace
 
 CompoundResult
@@ -295,7 +259,7 @@ runCompoundCampaign(const CompoundConfig &config)
     const Tick goWindow = dryGo.done - dryGo.start;
 
     const power::PowerModel power_model;
-    const double watts = busyWatts(power_model, cores, dimms);
+    const double watts = phaseWatts(power_model, cores, 0, dimms);
     const Tick holdup = config.psu.holdupTime(watts);
 
     // Each trial's randomness is a pure function of (seed, i): an

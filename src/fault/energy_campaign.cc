@@ -7,6 +7,7 @@
 #include "energy/storage.hh"
 #include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
+#include "fault/trial_rig.hh"
 #include "kernel/kernel.hh"
 #include "mem/backing_store.hh"
 #include "mem/timed_mem.hh"
@@ -25,15 +26,6 @@ namespace lightpc::fault
 
 namespace
 {
-
-/** Shared fabric of one image-baseline event. */
-struct ImageRig
-{
-    mem::BackingStore store;
-    psm::Psm psm;
-    psm::PsmMemPort port{psm};
-    mem::TimedMem pmem{port, &store};
-};
 
 // Emergency-persist footprints. Unlike the commit-window campaigns
 // (which scale their cut windows off the dump length and can use
@@ -57,18 +49,6 @@ constexpr std::uint64_t oplogKeys = 4;
 
 /** Post-commit trickle: the halted machine's retention load. */
 constexpr double haltWatts = 0.2;
-
-double
-phaseWatts(const power::PowerModel &model, std::uint32_t active,
-           std::uint32_t idle, std::uint32_t pram_dimms)
-{
-    power::ActivitySample sample;
-    sample.coresActive = active;
-    sample.coresIdle = idle;
-    sample.coreUtilization = 1.0;
-    sample.pramDimms = pram_dimms;
-    return model.staticWattsOf(sample);
-}
 
 /** One mode's outage-relative load profile and commit deadline. */
 struct ModeDry
@@ -113,30 +93,6 @@ modeSalt(net::PersistMode mode)
     case net::PersistMode::OpLog: return 0x4f704c6fULL;
     }
     return 0;
-}
-
-net::KvParams
-oplogParams()
-{
-    net::KvParams params;
-    params.writePath = net::WritePath::OpLog;
-    params.keyCapacity = 64;
-    params.dedupCapacity = 256;
-    params.oplog.capacity = 8 * net::OpLog::recordBytes;
-    return params;
-}
-
-net::RpcRequest
-oplogPutReq(std::uint64_t id, std::uint64_t key, std::uint64_t seed)
-{
-    net::RpcRequest req;
-    req.reqId = id;
-    req.client = static_cast<std::uint32_t>(id % 5);
-    req.op = workload::KvOp::Put;
-    req.key = key;
-    req.valueSeed = seed;
-    req.deadline = maxTick;
-    return req;
 }
 
 std::uint64_t
@@ -189,7 +145,7 @@ buildDry()
     // runs at full load before the Stop begins.
     {
         ImageRig rig;
-        net::KvService svc(rig.store, rig.pmem, oplogParams());
+        net::KvService svc(rig.store, rig.pmem, oplogCampaignParams());
         Tick t = 0;
         for (std::uint64_t p = 1; p <= oplogPuts; ++p)
             svc.execute(t, oplogPutReq(p, 1 + (p - 1) % oplogKeys, p));
@@ -354,21 +310,6 @@ struct TrialScratch
     }
 };
 
-bool
-regsMatch(const kernel::SystemSnapshot &before,
-          const kernel::SystemSnapshot &after)
-{
-    if (after.entries.size() != before.entries.size()
-        || after.deviceCookies != before.deviceCookies)
-        return false;
-    for (std::size_t p = 0; p < after.entries.size(); ++p) {
-        if (after.entries[p].pid != before.entries[p].pid
-            || after.entries[p].regs != before.entries[p].regs)
-            return false;
-    }
-    return true;
-}
-
 /**
  * One SnG Stop racing a power cut at outage-relative @p cut. Counts
  * the commit/resume outcome; true when the machine came back with
@@ -413,7 +354,7 @@ runSngCore(Tick cut, Rng &rng, TrialScratch &scratch)
 
     bool ok = durable && !go.coldBoot;
     if (!go.coldBoot) {
-        if (!regsMatch(before, kern.snapshot())) {
+        if (!stateRoundTrips(before, kern.snapshot())) {
             std::ostringstream note;
             note << "energy SnG cut@" << cut
                  << ": resumed with corrupt register state";
@@ -436,7 +377,7 @@ bool
 runOpLogEvent(Tick cut, Rng &rng, TrialScratch &scratch)
 {
     ImageRig rig;
-    net::KvService svc(rig.store, rig.pmem, oplogParams());
+    net::KvService svc(rig.store, rig.pmem, oplogCampaignParams());
     Tick t = 0;
     for (std::uint64_t p = 1; p <= oplogPuts; ++p)
         svc.execute(t,

@@ -1,12 +1,20 @@
-# A campaign bench must refuse a malformed count with its usage line
-# and exit 2, before running anything: trailing junk ("8x") and a
-# negative count ("-1") are the two inputs a bare strtoull let
-# through. Run by CTest with
+# A bench or example must refuse a malformed count with its usage line
+# and exit 2, before running anything: trailing junk ("8x", "1x",
+# "0x"), a negative count ("-1") and a non-number ("abc") are the
+# inputs a bare strtoull, atoi or stoull let through (or aborted on).
+# Each case lists its whole command line. Run by CTest with
 #   -DFAULT=<fault_campaign_main> -DCOMPOUND=<bench_compound_fault>
+#   -DSWEEP=<sweep_main> -DCLI=<lightpc_cli>
 #   -P cli_rejects_bad_counts.cmake
-foreach(case "${FAULT};--cuts;8x" "${COMPOUND};--trials;-1")
+foreach(case
+        "${FAULT};--cuts;8x;--out;bad.json"
+        "${COMPOUND};--trials;-1;--out;bad.json"
+        "${SWEEP};--events;1000;--campaign-cuts;0;--reps;1x;--out;bad.json"
+        "${SWEEP};--reps;-1;--out;bad.json"
+        "${CLI};--scale;abc"
+        "${CLI};--cores;0x")
     execute_process(
-        COMMAND ${case} --out bad_count.json
+        COMMAND ${case}
         RESULT_VARIABLE code
         OUTPUT_VARIABLE out
         ERROR_VARIABLE err)
