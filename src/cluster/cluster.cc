@@ -407,10 +407,7 @@ struct Plane final : net::NodeHost
     void
     violation(const std::string &msg)
     {
-        if (std::find(res.violations.begin(), res.violations.end(),
-                      msg)
-            == res.violations.end())
-            res.violations.push_back(msg);
+        net::noteViolation(res.violations, msg);
     }
 
     // --- fleet availability ---------------------------------------
@@ -1917,15 +1914,7 @@ struct Plane final : net::NodeHost
         for (const auto &o : merged.outageRecords()) {
             net::ServiceOutage so;
             so.eventAt = o.eventAt;
-            so.lastSuccessBefore = o.lastSuccessBefore;
-            so.firstSuccessAfter =
-                o.closed ? o.firstSuccessAfter : maxTick;
-            so.downtime = o.downtime();
-            so.attributable = so.downtime == maxTick
-                ? maxTick
-                : (so.downtime > cfg.offDwell
-                       ? so.downtime - cfg.offDwell
-                       : 0);
+            so.measure(o, cfg.offDwell);
             res.outages.push_back(so);
         }
 

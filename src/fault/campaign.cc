@@ -11,8 +11,6 @@
 #include "mem/backing_store.hh"
 #include "mem/timed_mem.hh"
 #include "net/kv_service.hh"
-#include "pecos/sng.hh"
-#include "persist/checkpoint.hh"
 #include "power/power_model.hh"
 #include "psm/psm.hh"
 #include "sim/parallel.hh"
@@ -130,18 +128,9 @@ runSngCampaign(const CampaignConfig &config)
 
     // Dry run: phase boundaries (construction is deterministic, so
     // every trial's Stop timeline is identical to this one).
-    pecos::StopReport dry;
-    std::uint32_t cores = 0;
-    std::uint32_t dimms = 0;
-    {
-        kernel::Kernel kern;
-        psm::Psm psm;
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        dry = sng.stop(0);
-        cores = kern.cores();
-        dimms = psm.params().dimms;
-    }
+    const pecos::StopReport dry = SngRig().sng.stop(0);
+    const std::uint32_t cores = kernel::KernelParams().cores;
+    const std::uint32_t dimms = psm::PsmParams().dimms;
 
     // Load profile over the Stop phases: Drive-to-Idle runs every
     // core hot, Auto-Stop leaves the master active, the EP-cut runs
@@ -166,76 +155,24 @@ runSngCampaign(const CampaignConfig &config)
         const Tick cut = cutFromEnergyFraction(
             config, profile, 0, window_end,
             sweepFraction(i, config.cuts, rng));
+        const SngRace race = raceSngStop(cut, rng);
+        result.droppedWrites += race.stop.writesDropped;
+        result.tornWrites += race.stop.writesTorn;
 
-        kernel::Kernel kern;
-        psm::Psm psm;
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        FaultInjector injector(store);
-
-        const kernel::SystemSnapshot before = kern.snapshot();
-        injector.armCut(cut, rng.next());
-
-        const pecos::StopReport stop = sng.stop(0);
-        result.droppedWrites += stop.writesDropped;
-        result.tornWrites += stop.writesTorn;
-
-        const CutPhase phase = cut <= stop.processStopDone
+        const CutPhase phase = cut <= race.stop.processStopDone
             ? CutPhase::ProcessStop
-            : cut <= stop.deviceStopDone ? CutPhase::DeviceStop
-            : cut <= stop.commitAt ? CutPhase::EpCut
-                                   : CutPhase::PostCommit;
+            : cut <= race.stop.deviceStopDone ? CutPhase::DeviceStop
+            : cut <= race.stop.commitAt ? CutPhase::EpCut
+                                        : CutPhase::PostCommit;
         countPhase(result, phase);
 
-        // Power loss: everything volatile is gone. The PCBs get
-        // scrambled so a resume that "works" by reading stale DRAM
-        // instead of OC-PMEM cannot pass the register check.
-        kern.scramble(rng);
-        injector.powerRestored();
-
-        const bool expect_resume = stop.commitAt < cut;
-        if (sng.hasCommit() != expect_resume) {
+        for (const std::string &fault : race.faults()) {
             std::ostringstream note;
             note << "SnG cut@" << cut << " " << cutPhaseName(phase)
-                 << ": commit durable=" << sng.hasCommit()
-                 << " expected=" << expect_resume;
+                 << ": " << fault;
             sim::flagViolation(result, note.str());
         }
-
-        const pecos::GoReport go = sng.resume(cut + 100 * tickMs);
-        if (go.coldBoot == expect_resume) {
-            std::ostringstream note;
-            note << "SnG cut@" << cut << " " << cutPhaseName(phase)
-                 << ": coldBoot=" << go.coldBoot
-                 << " but commit durable=" << expect_resume;
-            sim::flagViolation(result, note.str());
-        }
-
-        if (!go.coldBoot) {
-            // Byte-exact register + device-cookie round-trip through
-            // OC-PMEM (the scramble above guarantees stale volatile
-            // copies cannot pass).
-            const kernel::SystemSnapshot after = kern.snapshot();
-            bool regs_ok =
-                after.entries.size() == before.entries.size()
-                && after.deviceCookies == before.deviceCookies;
-            for (std::size_t p = 0; regs_ok
-                 && p < after.entries.size(); ++p) {
-                regs_ok = after.entries[p].pid
-                        == before.entries[p].pid
-                    && after.entries[p].regs
-                        == before.entries[p].regs;
-            }
-            if (!regs_ok) {
-                std::ostringstream note;
-                note << "SnG cut@" << cut
-                     << ": resumed with corrupt register state";
-                sim::flagViolation(result, note.str());
-            }
-            ++result.resumes;
-        } else {
-            ++result.coldBoots;
-        }
+        race.go.coldBoot ? ++result.coldBoots : ++result.resumes;
         ++result.cuts;
         return result;
     });
@@ -247,326 +184,133 @@ namespace
 constexpr std::uint64_t sysPcBaseBytes = 4 << 20;
 constexpr std::uint64_t sysPcDumpBytes = 8 << 20;
 
+/**
+ * Energy-sweep cut of trial @p i against a dump that starts at
+ * @p ac and, in the dry run, commits @p len later. Hibernate and
+ * BLCR dumps run every core flat out until the rails die.
+ */
+Tick
+dumpCut(const CampaignConfig &config, std::uint64_t i, Tick ac,
+        Tick len, Rng &rng)
+{
+    const PowerRail profile(
+        config.psu, phaseWatts(power::PowerModel(),
+                               kernel::KernelParams().cores, 0,
+                               psm::PsmParams().dimms));
+    return cutFromEnergyFraction(config, profile, ac, ac + len + len / 4,
+                                 sweepFraction(i, config.cuts, rng));
+}
+
+/** Counters of one image-baseline trial from its race. */
+CampaignResult
+judgeRace(const char *mode, const PersistRace &race)
+{
+    CampaignResult result;
+    result.droppedWrites += race.cutStats.droppedWrites;
+    result.tornWrites += race.cutStats.tornWrites;
+    countPhase(result, race.cut <= race.window.bodyDone
+                           ? CutPhase::MidDump
+                       : race.cut <= race.window.commitAt
+                           ? CutPhase::CommitWindow
+                           : CutPhase::PostCommit);
+    if (!race.ok)
+        sim::flagViolation(result, raceNote(mode, race));
+    race.got != 0 ? ++result.resumes : ++result.coldBoots;
+    ++result.cuts;
+    return result;
+}
+
 } // namespace
 
 CampaignResult
 runSysPcCampaign(const CampaignConfig &config)
 {
-    const power::PowerModel power_model;
-
     // Dry run (with a base image) for the dump/commit windows used
     // by the forced commit-window trials.
-    Tick dry_ac = 0;
-    Tick dry_body_done = 0;
-    Tick dry_commit_at = 0;
-    std::uint32_t dimms = 0;
-    std::uint32_t cores = kernel::KernelParams().cores;
-    {
-        ImageRig rig;
-        persist::SysPc syspc(rig.pmem);
-        Tick t = syspc.dumpImageCommitted(0, sysPcBaseBytes, 7);
-        dry_ac = t + tickMs;
-        syspc.dumpImageCommitted(dry_ac, sysPcDumpBytes, 8);
-        dry_body_done = syspc.lastBodyDoneAt();
-        dry_commit_at = syspc.lastCommitAt();
-        dimms = rig.psm.params().dimms;
-    }
-
-    // Hibernate runs every core flat out until the rails die.
-    const double dump_watts = phaseWatts(power_model, cores, 0, dimms);
+    const PersistRace dry = raceImageDump(
+        net::PersistMode::SysPc,
+        {1, sysPcBaseBytes, sysPcDumpBytes, tickMs});
     const std::uint64_t seed = campaignSeed(config, 0x537973ULL);
 
-    return runSeededTrials(config, "SysPC", [&config, dry_ac,
-                                             dry_body_done,
-                                             dry_commit_at,
-                                             dump_watts, seed](
-                                                std::uint64_t i) {
-        CampaignResult result;
+    return runSeededTrials(config, "SysPC", [&config, dry,
+                                             seed](std::uint64_t i) {
         Rng rng(Rng::streamSeed(seed, i));
+        const Tick body_done = dry.window.bodyDone;
+        const Tick commit_at = dry.window.commitAt;
 
         // Every 8th trial aims inside the commit record's own write
         // — a window far too narrow for the energy sweep to hit.
-        const bool force_commit_window = i % 8 == 7
-            && dry_commit_at > dry_body_done;
+        const bool force_commit_window =
+            i % 8 == 7 && commit_at > body_done;
         const bool have_base = force_commit_window || rng.chance(0.5);
 
-        ImageRig rig;
-        persist::SysPc syspc(rig.pmem);
-        FaultInjector injector(rig.store);
-
-        Tick t = 0;
-        if (have_base)
-            t = syspc.dumpImageCommitted(0, sysPcBaseBytes,
-                                         rng.next());
-        const Tick ac = t + tickMs;
-
-        Tick cut;
-        if (force_commit_window) {
-            cut = dry_body_done + 1
-                + rng.below(dry_commit_at - dry_body_done);
-        } else {
-            PowerRail profile(config.psu, dump_watts);
-            const Tick limit = ac + (dry_commit_at - dry_ac)
-                + (dry_commit_at - dry_ac) / 4;
-            cut = cutFromEnergyFraction(
-                config, profile, ac, limit,
-                sweepFraction(i, config.cuts, rng));
-        }
-
-        injector.armCut(cut, rng.next());
-        syspc.dumpImageCommitted(ac, sysPcDumpBytes, rng.next());
-        const Tick body_done = syspc.lastBodyDoneAt();
-        const Tick commit_at = syspc.lastCommitAt();
-        result.droppedWrites += rig.store.cutStats().droppedWrites;
-        result.tornWrites += rig.store.cutStats().tornWrites;
-
-        countPhase(result, cut <= body_done ? CutPhase::MidDump
-                       : cut <= commit_at ? CutPhase::CommitWindow
-                                          : CutPhase::PostCommit);
-
-        injector.powerRestored();
-        syspc.recover(cut + 100 * tickMs);
-        const std::uint64_t got = syspc.recoveredSeq();
-        const std::uint64_t base_seq = have_base ? 1 : 0;
-        const std::uint64_t final_seq = base_seq + 1;
-
-        // Resume iff the commit record beat the rails; a cut inside
-        // the record's own write may legally land it whole (it is
-        // then checksum-valid over a fully durable body) or tear it
-        // (then it must read as "no commit"), never anything else.
-        bool ok;
-        if (commit_at < cut)
-            ok = got == final_seq;
-        else if (cut <= body_done)
-            ok = got == base_seq;
-        else
-            ok = got == base_seq || got == final_seq;
-        if (ok && got == 2)
-            ok = syspc.committedImageIntact(syspc.committedImage());
-
-        if (!ok) {
-            std::ostringstream note;
-            note << "SysPC cut@" << cut << " recovered seq " << got
-                 << " (base " << base_seq << ", commit@" << commit_at
-                 << ")";
-            sim::flagViolation(result, note.str());
-        }
-        got != 0 ? ++result.resumes : ++result.coldBoots;
-        ++result.cuts;
-        return result;
+        auto cut_at = [&](Tick ac) {
+            return force_commit_window
+                ? body_done + 1 + rng.below(commit_at - body_done)
+                : dumpCut(config, i, ac, commit_at - dry.ac, rng);
+        };
+        return judgeRace(
+            "SysPC",
+            raceImageDump(net::PersistMode::SysPc,
+                          {have_base ? 1u : 0u, sysPcBaseBytes,
+                           sysPcDumpBytes, tickMs},
+                          cut_at, &rng));
     });
 }
 
 CampaignResult
 runSCheckPcCampaign(const CampaignConfig &config)
 {
-    const power::PowerModel power_model;
     constexpr std::uint64_t vm_bytes = 6 << 20;
     constexpr Tick period = 50 * tickMs;
 
-    Tick dry_start = 0;
-    Tick dry_commit_at = 0;
-    std::uint32_t dimms = 0;
-    const std::uint32_t cores = kernel::KernelParams().cores;
-    {
-        ImageRig rig;
-        persist::SCheckPc scheck(rig.pmem, period);
-        Tick t = scheck.dumpCommitted(0, vm_bytes, 7);
-        t = scheck.dumpCommitted(t + period, vm_bytes, 8);
-        dry_start = t + period;
-        scheck.dumpCommitted(dry_start, vm_bytes, 9);
-        dry_commit_at = scheck.lastCommitAt();
-        dimms = rig.psm.params().dimms;
-    }
-
-    const double dump_watts = phaseWatts(power_model, cores, 0, dimms);
-    const Tick dry_window = dry_commit_at - dry_start;
+    const PersistRace dry = raceImageDump(
+        net::PersistMode::SCheckPc, {2, vm_bytes, vm_bytes, period});
+    const Tick dry_window = dry.window.commitAt - dry.ac;
     const std::uint64_t seed = campaignSeed(config, 0x5343506bULL);
 
     return runSeededTrials(config, "S-CheckPC", [&config, dry_window,
-                                                 dump_watts, seed](
-                                                    std::uint64_t i) {
-        CampaignResult result;
+                                                 seed](std::uint64_t i) {
         Rng rng(Rng::streamSeed(seed, i));
 
+        // With history, two periodic dumps committed before the one
+        // AC loss races; without, the race is the process's first.
         const bool have_history = rng.chance(0.7);
-
-        ImageRig rig;
-        persist::SCheckPc scheck(rig.pmem, period);
-        FaultInjector injector(rig.store);
-
-        Tick t = 0;
-        std::uint64_t base_seq = 0;
-        if (have_history) {
-            t = scheck.dumpCommitted(0, vm_bytes, rng.next());
-            t = scheck.dumpCommitted(t + period, vm_bytes, rng.next());
-            t += period;
-            base_seq = 2;
-        }
-
-        // The cut races the dump that is running when AC drops.
-        PowerRail profile(config.psu, dump_watts);
-        const Tick cut = cutFromEnergyFraction(
-            config, profile, t, t + dry_window + dry_window / 4,
-            sweepFraction(i, config.cuts, rng));
-
-        injector.armCut(cut, rng.next());
-        scheck.dumpCommitted(t, vm_bytes, rng.next());
-        const Tick body_done = scheck.lastBodyDoneAt();
-        const Tick commit_at = scheck.lastCommitAt();
-        result.tornWrites += rig.store.cutStats().tornWrites;
-        result.droppedWrites += rig.store.cutStats().droppedWrites;
-
-        countPhase(result, cut <= body_done ? CutPhase::MidDump
-                       : cut <= commit_at ? CutPhase::CommitWindow
-                                          : CutPhase::PostCommit);
-
-        injector.powerRestored();
-        scheck.recoverAfterLoss(cut + 100 * tickMs);
-        const std::uint64_t got = scheck.recoveredSeq();
-        const std::uint64_t final_seq = base_seq + 1;
-
-        bool ok;
-        if (commit_at < cut)
-            ok = got == final_seq;
-        else if (cut <= body_done)
-            ok = got == base_seq;
-        else
-            ok = got == base_seq || got == final_seq;
-        if (ok && got == final_seq)
-            ok = scheck.commitIntact(scheck.latestCommit());
-
-        if (!ok) {
-            std::ostringstream note;
-            note << "S-CheckPC cut@" << cut << " recovered seq "
-                 << got << " (base " << base_seq << ", commit@"
-                 << commit_at << ")";
-            sim::flagViolation(result, note.str());
-        }
-        got != 0 ? ++result.resumes : ++result.coldBoots;
-        ++result.cuts;
-        return result;
+        return judgeRace(
+            "S-CheckPC",
+            raceImageDump(net::PersistMode::SCheckPc,
+                          {have_history ? 2u : 0u, vm_bytes, vm_bytes,
+                           have_history ? period : 0},
+                          [&](Tick ac) {
+                              return dumpCut(config, i, ac, dry_window,
+                                             rng);
+                          },
+                          &rng));
     });
 }
 
 CampaignResult
 runACheckPcCampaign(const CampaignConfig &config)
 {
-    // Per-function checkpoints: a run of small committed dumps, each
-    // body + fence + ledger record, sized like the decorator's
-    // stack/heap captures (4-32 KB).
+    // Per-function checkpoints: a run of small committed captures,
+    // each after 200 us of function body.
     constexpr std::uint64_t checkpoints = 6;
-    const persist::ACheckPcParams params;
-    const mem::Addr ledger_base = params.pmemBase;
-    const mem::Addr slot_base = params.pmemBase + (1 << 20);
+    constexpr Tick think = 200 * tickUs;
 
-    auto bodyBytes = [](std::uint64_t k) {
-        return 4096 + (k * 2654435761ULL) % (28 << 10);
-    };
-    auto slotAddr = [slot_base](std::uint64_t seq) {
-        return slot_base + (seq & 1) * (1 << 20);
-    };
-
-    // Dry run for the per-checkpoint body/commit windows.
-    std::vector<Tick> dry_commit_at(checkpoints + 1, 0);
-    {
-        ImageRig rig;
-        persist::CheckpointLedger ledger(rig.pmem, ledger_base);
-        Tick t = 0;
-        for (std::uint64_t k = 1; k <= checkpoints; ++k) {
-            t += 200 * tickUs;  // the function body between dumps
-            t = persist::writeBodyPattern(rig.pmem, t, slotAddr(k),
-                                          bodyBytes(k), k);
-            t = rig.pmem.fence(t);
-            t = ledger.commit(t, k, k & 1, bodyBytes(k), k);
-            dry_commit_at[k] = ledger.lastCommitAt();
-        }
-    }
-
-    const Tick dry_total = dry_commit_at[checkpoints];
+    const Tick dry_total =
+        raceACheckPcSweep(checkpoints, think).window.commitAt;
     const std::uint64_t seed = campaignSeed(config, 0x414350ULL);
 
-    return runSeededTrials(config, "A-CheckPC", [bodyBytes, slotAddr,
-                                                 ledger_base,
-                                                 dry_total, seed](
+    return runSeededTrials(config, "A-CheckPC", [dry_total, seed](
                                                     std::uint64_t i) {
-        CampaignResult result;
         Rng rng(Rng::streamSeed(seed, i));
 
         // A-CheckPC checkpoints continuously; the cut is uniform
         // over the run (plus a post-run margin), no rail profile
         // needed to reach every window.
         const Tick cut = 1 + rng.below(dry_total + dry_total / 8);
-
-        ImageRig rig;
-        persist::CheckpointLedger ledger(rig.pmem, ledger_base);
-        FaultInjector injector(rig.store);
-        injector.armCut(cut, rng.next());
-
-        std::vector<std::uint64_t> seeds(checkpoints + 1, 0);
-        std::vector<Tick> commit_at(checkpoints + 1, 0);
-        std::vector<Tick> body_done(checkpoints + 1, 0);
-        Tick t = 0;
-        for (std::uint64_t k = 1; k <= checkpoints; ++k) {
-            seeds[k] = rng.next();
-            t += 200 * tickUs;
-            t = persist::writeBodyPattern(rig.pmem, t, slotAddr(k),
-                                          bodyBytes(k), seeds[k]);
-            t = rig.pmem.fence(t);
-            body_done[k] = t;
-            t = ledger.commit(t, k, k & 1, bodyBytes(k), seeds[k]);
-            commit_at[k] = ledger.lastCommitAt();
-        }
-        result.tornWrites += rig.store.cutStats().tornWrites;
-        result.droppedWrites += rig.store.cutStats().droppedWrites;
-
-        // Which window did the cut land in?
-        CutPhase phase = CutPhase::PostCommit;
-        std::uint64_t window_k = 0;  ///< checkpoint in flight at cut
-        for (std::uint64_t k = 1; k <= checkpoints; ++k) {
-            if (cut <= commit_at[k]) {
-                window_k = k;
-                phase = cut <= body_done[k] ? CutPhase::MidDump
-                                            : CutPhase::CommitWindow;
-                break;
-            }
-        }
-        countPhase(result, phase);
-
-        injector.powerRestored();
-        const persist::CheckpointLedger::Record rec = ledger.latest();
-        const std::uint64_t got = rec.seq;
-
-        // The newest checkpoint whose record write beat the rails.
-        std::uint64_t expect = 0;
-        for (std::uint64_t k = 1; k <= checkpoints; ++k) {
-            if (commit_at[k] < cut)
-                expect = k;
-        }
-        // A cut inside record k's own write may land it whole — then
-        // and only then may one newer commit than expected survive.
-        const bool straddle_ok = phase == CutPhase::CommitWindow
-            && got == window_k;
-
-        bool ok = got == expect || straddle_ok;
-        if (ok && got != 0) {
-            ok = rec.valid()
-                && persist::verifyBodyPattern(
-                       rig.store, slotAddr(rec.seq),
-                       std::min<std::uint64_t>(rec.bytes,
-                                               bodyBytes(rec.seq)),
-                       seeds[rec.seq]);
-        }
-
-        if (!ok) {
-            std::ostringstream note;
-            note << "A-CheckPC cut@" << cut << " recovered seq "
-                 << got << " expected " << expect;
-            sim::flagViolation(result, note.str());
-        }
-        got != 0 ? ++result.resumes : ++result.coldBoots;
-        ++result.cuts;
-        return result;
+        return judgeRace("A-CheckPC", raceACheckPcSweep(
+                                          checkpoints, think, cut, &rng));
     });
 }
 

@@ -225,14 +225,14 @@ machineStateDigest(const kernel::Kernel &kern,
 namespace
 {
 
-/** One fresh SnG platform (identical construction every trial). */
-struct SngRig
+/** Sub-phase and write-loss counters of one cut Stop. */
+void
+countStop(CompoundResult &result, const pecos::StopReport &stop)
 {
-    kernel::Kernel kern;
-    psm::Psm psm;
-    mem::BackingStore store;
-    pecos::Sng sng{kern, psm, store, {}};
-};
+    ++result.stopPhaseCuts[static_cast<std::size_t>(stop.cutSubPhase)];
+    result.droppedWrites += stop.writesDropped;
+    result.tornWrites += stop.writesTorn;
+}
 
 } // namespace
 
@@ -299,24 +299,14 @@ runCompoundCampaign(const CompoundConfig &config)
             const Tick cut = storm.uniformIn(w.lo, w.hi);
 
             SngRig rig;
-            const kernel::SystemSnapshot before = rig.kern.snapshot();
-            rig.store.armPowerCut(cut, rng.next());
-
-            const pecos::StopReport stop = rig.sng.stop(0);
-            ++result.stopPhaseCuts[static_cast<std::size_t>(
-                stop.cutSubPhase)];
-            result.droppedWrites += stop.writesDropped;
-            result.tornWrites += stop.writesTorn;
-
-            const bool expect = stop.commitAt < cut;
-            rig.kern.scramble(rng);
-            rig.store.disarmPowerCut();
-            if (rig.sng.hasCommit() != expect) {
+            const SngRace race = stopUnderCut(rig, 0, cut, rng);
+            countStop(result, race.stop);
+            if (!race.commitMatches) {
                 std::ostringstream note;
                 note << "stop-cut@" << cut << " ("
-                     << pecos::stopSubPhaseName(stop.cutSubPhase)
-                     << "): commit durable=" << rig.sng.hasCommit()
-                     << " expected=" << expect;
+                     << pecos::stopSubPhaseName(race.stop.cutSubPhase)
+                     << "): commit on media disagrees with durable="
+                     << race.durable;
                 sim::flagViolation(result, note.str());
             }
 
@@ -329,16 +319,16 @@ runCompoundCampaign(const CompoundConfig &config)
             if (!out.converged) {
                 sim::flagViolation(result, "stop-cut: supervisor failed "
                                       "to converge");
-            } else if (out.coldBoot == expect
+            } else if (out.coldBoot == race.durable
                        && !out.degradedColdBoot) {
                 std::ostringstream note;
                 note << "stop-cut@" << cut << ": coldBoot="
                      << out.coldBoot << " but commit durable="
-                     << expect;
+                     << race.durable;
                 sim::flagViolation(result, note.str());
             }
             if (!out.coldBoot) {
-                if (!stateRoundTrips(before, rig.kern.snapshot()))
+                if (!stateRoundTrips(race.before, rig.kern.snapshot()))
                     sim::flagViolation(result,
                                   "stop-cut: resumed with corrupt "
                                   "register state");
@@ -442,27 +432,20 @@ runCompoundCampaign(const CompoundConfig &config)
                 // Deep sag: a real cut at the drained tick, racing
                 // the Stop that the power event started.
                 SngRig rig;
-                const kernel::SystemSnapshot before =
-                    rig.kern.snapshot();
-                rig.store.armPowerCut(sag.failTick, rng.next());
-                const pecos::StopReport stop = rig.sng.stop(0);
-                ++result.stopPhaseCuts[static_cast<std::size_t>(
-                    stop.cutSubPhase)];
-                result.droppedWrites += stop.writesDropped;
-                result.tornWrites += stop.writesTorn;
-                const bool expect = stop.commitAt < sag.failTick;
-                rig.kern.scramble(rng);
-                rig.store.disarmPowerCut();
+                const SngRace race =
+                    stopUnderCut(rig, 0, sag.failTick, rng);
+                countStop(result, race.stop);
                 RecoverySupervisor sup(rig.sng, rig.kern, rig.store,
                                        config.supervisor);
                 const SupervisorOutcome out = sup.supervise(
                     sag.failTick + 100 * tickMs, {}, rng);
-                if (out.coldBoot == expect)
+                if (out.coldBoot == race.durable)
                     sim::flagViolation(result,
                                   "brownout-cut: recovery disagrees "
                                   "with commit durability");
                 if (!out.coldBoot) {
-                    if (!stateRoundTrips(before, rig.kern.snapshot()))
+                    if (!stateRoundTrips(race.before,
+                                         rig.kern.snapshot()))
                         sim::flagViolation(result,
                                       "brownout-cut: corrupt resume");
                     ++result.resumes;
@@ -599,25 +582,15 @@ runCompoundCampaign(const CompoundConfig &config)
                     ++idx;
                     continue;
                 }
-                const kernel::SystemSnapshot before =
-                    rig.kern.snapshot();
-                rig.store.armPowerCut(cut, rng.next());
-                const pecos::StopReport stop = rig.sng.stop(t);
-                ++result.stopPhaseCuts[static_cast<std::size_t>(
-                    stop.cutSubPhase)];
-                result.droppedWrites += stop.writesDropped;
-                result.tornWrites += stop.writesTorn;
+                const SngRace race = stopUnderCut(rig, t, cut, rng);
+                countStop(result, race.stop);
                 result.staleWritesRejected +=
                     rig.store.cutStats().staleWrites;
-
-                const bool expect = stop.commitAt < cut;
-                rig.kern.scramble(rng);
-                rig.store.disarmPowerCut();
-                if (rig.sng.hasCommit() != expect) {
+                if (!race.commitMatches) {
                     std::ostringstream note;
                     note << "storm cut#" << idx << "@" << cut
-                         << ": commit durable=" << rig.sng.hasCommit()
-                         << " expected=" << expect;
+                         << ": commit on media disagrees with durable="
+                         << race.durable;
                     sim::flagViolation(result, note.str());
                 }
                 ++idx;
@@ -643,18 +616,18 @@ runCompoundCampaign(const CompoundConfig &config)
                 if (!out.converged) {
                     sim::flagViolation(result, "storm: supervisor failed "
                                           "to converge");
-                } else if (expect && !out.coldBoot) {
-                    if (!stateRoundTrips(before,
+                } else if (race.durable && !out.coldBoot) {
+                    if (!stateRoundTrips(race.before,
                                          rig.kern.snapshot()))
                         sim::flagViolation(result,
                                       "storm: corrupt resume state");
                     ++result.resumes;
-                } else if (expect && out.coldBoot
+                } else if (race.durable && out.coldBoot
                            && !out.degradedColdBoot) {
                     sim::flagViolation(result,
                                   "storm: durable commit but "
                                   "converged cold");
-                } else if (!expect && !out.coldBoot) {
+                } else if (!race.durable && !out.coldBoot) {
                     sim::flagViolation(result,
                                   "storm: no durable commit but "
                                   "warm resume");

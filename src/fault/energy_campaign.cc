@@ -14,7 +14,6 @@
 #include "net/kv_service.hh"
 #include "pecos/energy_guard.hh"
 #include "pecos/sng.hh"
-#include "persist/checkpoint.hh"
 #include "power/power_model.hh"
 #include "psm/psm.hh"
 #include "sim/logging.hh"
@@ -32,14 +31,13 @@ namespace
 // small images), the provisioning question is absolute: the
 // checkpointing baselines must land a *machine-sized* image on AC
 // loss, while Stop-and-Go persists only the bounded CPU/device
-// state — that asymmetry is the headline.
-constexpr std::uint64_t sysPcBaseBytes = 4 << 20;
-constexpr std::uint64_t sysPcDumpBytes = 48 << 20;
-constexpr std::uint64_t sCheckVmBytes = 24 << 20;
-constexpr Tick sCheckPeriod = 50 * tickMs;
+// state — that asymmetry is the headline. Each image baseline has a
+// committed base image and loses AC 1 ms after it.
+constexpr DumpSpec sysPcDump{1, 4 << 20, 48 << 20, tickMs};
+constexpr DumpSpec sCheckDump{1, 24 << 20, 24 << 20, tickMs};
 
 // A-CheckPC's AC-loss action: a sweep of per-function captures
-// covering the dirty footprint, each body + fence + ledger record.
+// covering the dirty footprint.
 constexpr std::uint64_t acheckSweep = 96;
 constexpr Tick acheckThink = 20 * tickUs;
 
@@ -61,8 +59,6 @@ struct ModeDry
 struct DryData
 {
     double busyWatts = 0.0;
-    std::uint32_t cores = 0;
-    std::uint32_t dimms = 0;
     Tick oplogLen = 0;  ///< emergency group-commit duration
     pecos::DrainEstimate sngDrain;
     pecos::DrainEstimate oplogDrain;
@@ -95,16 +91,16 @@ modeSalt(net::PersistMode mode)
     return 0;
 }
 
-std::uint64_t
-acheckBodyBytes(std::uint64_t k)
+/** An image baseline's persist, cut @p cut after AC loss (dry: no rng). */
+PersistRace
+emergencyPersist(net::PersistMode mode, Tick cut = maxTick,
+                 Rng *rng = nullptr)
 {
-    return 4096 + (k * 2654435761ULL) % (28 << 10);
-}
-
-mem::Addr
-acheckSlotAddr(mem::Addr slot_base, std::uint64_t seq)
-{
-    return slot_base + (seq & 1) * (1 << 20);
+    if (mode == net::PersistMode::ACheckPc)
+        return raceACheckPcSweep(acheckSweep, acheckThink, cut, rng);
+    return raceImageDump(
+        mode, mode == net::PersistMode::SysPc ? sysPcDump : sCheckDump,
+        [cut](Tick ac) { return ac + cut; }, rng);
 }
 
 DryData
@@ -115,21 +111,13 @@ buildDry()
 
     // SnG phase boundaries (deterministic construction: every
     // trial's Stop timeline is identical to this one).
-    pecos::StopReport stop;
-    {
-        kernel::Kernel kern;
-        psm::Psm psm;
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        stop = sng.stop(0);
-        dry.cores = kern.cores();
-        dry.dimms = psm.params().dimms;
-    }
-    const double w_all =
-        phaseWatts(power_model, dry.cores, 0, dry.dimms);
+    const pecos::StopReport stop = SngRig().sng.stop(0);
+    const std::uint32_t cores = kernel::KernelParams().cores;
+    const std::uint32_t dimms = psm::PsmParams().dimms;
+    const double w_all = phaseWatts(power_model, cores, 0, dimms);
     const double w_master =
-        phaseWatts(power_model, 1, dry.cores - 1, dry.dimms);
-    const double w_offline = phaseWatts(power_model, 1, 0, dry.dimms);
+        phaseWatts(power_model, 1, cores - 1, dimms);
+    const double w_offline = phaseWatts(power_model, 1, 0, dimms);
     dry.busyWatts = w_all;
 
     ModeDry &sng_md = dry.mode[modeOrd(net::PersistMode::SnG)];
@@ -164,47 +152,14 @@ buildDry()
     dry.oplogDrain.joules += w_all * ticksToSec(dry.oplogLen);
     dry.oplogDrain.ticks += dry.oplogLen;
 
-    // SysPC: the emergency hibernate image (base image pre-exists).
-    {
-        ImageRig rig;
-        persist::SysPc syspc(rig.pmem);
-        Tick t = syspc.dumpImageCommitted(0, sysPcBaseBytes, 7);
-        const Tick ac = t + tickMs;
-        syspc.dumpImageCommitted(ac, sysPcDumpBytes, 8);
-        ModeDry &md = dry.mode[modeOrd(net::PersistMode::SysPc)];
-        md.commitLen = syspc.lastCommitAt() - ac;
-        md.steps = {{0, w_all}, {md.commitLen, haltWatts}};
-    }
-
-    // S-CheckPC: the emergency BLCR-style dump.
-    {
-        ImageRig rig;
-        persist::SCheckPc scheck(rig.pmem, sCheckPeriod);
-        Tick t = scheck.dumpCommitted(0, sCheckVmBytes, 7);
-        const Tick ac = t + tickMs;
-        scheck.dumpCommitted(ac, sCheckVmBytes, 8);
-        ModeDry &md = dry.mode[modeOrd(net::PersistMode::SCheckPc)];
-        md.commitLen = scheck.lastCommitAt() - ac;
-        md.steps = {{0, w_all}, {md.commitLen, haltWatts}};
-    }
-
-    // A-CheckPC: the decorator sweep of per-function captures.
-    {
-        ImageRig rig;
-        const persist::ACheckPcParams params;
-        persist::CheckpointLedger ledger(rig.pmem, params.pmemBase);
-        const mem::Addr slot_base = params.pmemBase + (1 << 20);
-        Tick t = 0;
-        for (std::uint64_t k = 1; k <= acheckSweep; ++k) {
-            t += acheckThink;
-            t = persist::writeBodyPattern(rig.pmem, t,
-                                          acheckSlotAddr(slot_base, k),
-                                          acheckBodyBytes(k), k);
-            t = rig.pmem.fence(t);
-            t = ledger.commit(t, k, k & 1, acheckBodyBytes(k), k);
-        }
-        ModeDry &md = dry.mode[modeOrd(net::PersistMode::ACheckPc)];
-        md.commitLen = ledger.lastCommitAt();
+    // The image baselines: the emergency dump, or the decorator's
+    // sweep of per-function captures, then the retention trickle.
+    for (const net::PersistMode mode :
+         {net::PersistMode::SysPc, net::PersistMode::SCheckPc,
+          net::PersistMode::ACheckPc}) {
+        const PersistRace race = emergencyPersist(mode);
+        ModeDry &md = dry.mode[modeOrd(mode)];
+        md.commitLen = race.window.commitAt - race.ac;
         md.steps = {{0, w_all}, {md.commitLen, haltWatts}};
     }
 
@@ -319,53 +274,14 @@ bool
 runSngCore(Tick cut, Rng &rng, TrialScratch &scratch)
 {
     EnergyCellStats &cell = *scratch.cell;
-
-    kernel::Kernel kern;
-    psm::Psm psm;
-    mem::BackingStore store;
-    pecos::Sng sng(kern, psm, store, {});
-    FaultInjector injector(store);
-
-    const kernel::SystemSnapshot before = kern.snapshot();
-    injector.armCut(cut, rng.next());
-
-    const pecos::StopReport stop = sng.stop(0);
-    const bool durable = stop.commitAt < cut;
-    if (durable)
+    const SngRace race = raceSngStop(cut, rng);
+    if (race.durable)
         ++cell.commitsDurable;
-    if (sng.hasCommit() != durable) {
-        std::ostringstream note;
-        note << "energy SnG cut@" << cut
-             << ": commit durable=" << sng.hasCommit()
-             << " expected=" << durable;
-        scratch.violation(note.str());
-    }
-
-    kern.scramble(rng);
-    injector.powerRestored();
-
-    const pecos::GoReport go = sng.resume(cut + 100 * tickMs);
-    if (go.coldBoot == durable) {
-        std::ostringstream note;
-        note << "energy SnG cut@" << cut << ": coldBoot="
-             << go.coldBoot << " but durable=" << durable;
-        scratch.violation(note.str());
-    }
-
-    bool ok = durable && !go.coldBoot;
-    if (!go.coldBoot) {
-        if (!stateRoundTrips(before, kern.snapshot())) {
-            std::ostringstream note;
-            note << "energy SnG cut@" << cut
-                 << ": resumed with corrupt register state";
-            scratch.violation(note.str());
-            ok = false;
-        }
-        ++cell.resumes;
-    } else {
-        ++cell.coldBoots;
-    }
-    return ok;
+    for (const std::string &fault : race.faults())
+        scratch.violation("energy SnG cut@" + std::to_string(cut)
+                          + ": " + fault);
+    race.go.coldBoot ? ++cell.coldBoots : ++cell.resumes;
+    return race.durable && race.regsRoundTrip;
 }
 
 /**
@@ -393,160 +309,24 @@ runOpLogEvent(Tick cut, Rng &rng, TrialScratch &scratch)
     return runSngCore(rem, rng, scratch);
 }
 
+/**
+ * An image baseline's emergency persist racing a power cut at
+ * outage-relative @p cut; true when the whole persist landed and
+ * recovered intact.
+ */
 bool
-runSysPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
+runImageEvent(net::PersistMode mode, Tick cut, Rng &rng,
+              TrialScratch &scratch)
 {
     EnergyCellStats &cell = *scratch.cell;
-
-    ImageRig rig;
-    persist::SysPc syspc(rig.pmem);
-    FaultInjector injector(rig.store);
-
-    const Tick t = syspc.dumpImageCommitted(0, sysPcBaseBytes,
-                                            rng.next());
-    const Tick ac = t + tickMs;
-    const Tick cut_abs = ac + cut;
-    injector.armCut(cut_abs, rng.next());
-
-    syspc.dumpImageCommitted(ac, sysPcDumpBytes, rng.next());
-    const Tick body_done = syspc.lastBodyDoneAt();
-    const Tick commit_at = syspc.lastCommitAt();
-    const bool durable = commit_at < cut_abs;
-    if (durable)
+    const PersistRace race = emergencyPersist(mode, cut, &rng);
+    if (race.durable())
         ++cell.commitsDurable;
-
-    injector.powerRestored();
-    syspc.recover(cut_abs + 100 * tickMs);
-    const std::uint64_t got = syspc.recoveredSeq();
-
-    bool ok;
-    if (durable)
-        ok = got == 2;
-    else if (cut_abs <= body_done)
-        ok = got == 1;
-    else
-        ok = got == 1 || got == 2;
-    if (ok && got == 2)
-        ok = syspc.committedImageIntact(syspc.committedImage());
-
-    if (!ok) {
-        std::ostringstream note;
-        note << "energy SysPC cut@" << cut << " recovered seq "
-             << got << " (commit@" << commit_at << ")";
-        scratch.violation(note.str());
-    }
-    got != 0 ? ++cell.resumes : ++cell.coldBoots;
-    return durable && got == 2 && ok;
-}
-
-bool
-runSCheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
-{
-    EnergyCellStats &cell = *scratch.cell;
-
-    ImageRig rig;
-    persist::SCheckPc scheck(rig.pmem, sCheckPeriod);
-    FaultInjector injector(rig.store);
-
-    const Tick t = scheck.dumpCommitted(0, sCheckVmBytes, rng.next());
-    const Tick ac = t + tickMs;
-    const Tick cut_abs = ac + cut;
-    injector.armCut(cut_abs, rng.next());
-
-    scheck.dumpCommitted(ac, sCheckVmBytes, rng.next());
-    const Tick body_done = scheck.lastBodyDoneAt();
-    const Tick commit_at = scheck.lastCommitAt();
-    const bool durable = commit_at < cut_abs;
-    if (durable)
-        ++cell.commitsDurable;
-
-    injector.powerRestored();
-    scheck.recoverAfterLoss(cut_abs + 100 * tickMs);
-    const std::uint64_t got = scheck.recoveredSeq();
-
-    bool ok;
-    if (durable)
-        ok = got == 2;
-    else if (cut_abs <= body_done)
-        ok = got == 1;
-    else
-        ok = got == 1 || got == 2;
-    if (ok && got == 2)
-        ok = scheck.commitIntact(scheck.latestCommit());
-
-    if (!ok) {
-        std::ostringstream note;
-        note << "energy S-CheckPC cut@" << cut << " recovered seq "
-             << got << " (commit@" << commit_at << ")";
-        scratch.violation(note.str());
-    }
-    got != 0 ? ++cell.resumes : ++cell.coldBoots;
-    return durable && got == 2 && ok;
-}
-
-bool
-runACheckPcEvent(Tick cut, Rng &rng, TrialScratch &scratch)
-{
-    EnergyCellStats &cell = *scratch.cell;
-
-    ImageRig rig;
-    const persist::ACheckPcParams params;
-    persist::CheckpointLedger ledger(rig.pmem, params.pmemBase);
-    const mem::Addr slot_base = params.pmemBase + (1 << 20);
-    FaultInjector injector(rig.store);
-    injector.armCut(cut, rng.next());
-
-    std::vector<std::uint64_t> seeds(acheckSweep + 1, 0);
-    std::vector<Tick> commit_at(acheckSweep + 1, 0);
-    std::vector<Tick> body_done(acheckSweep + 1, 0);
-    Tick t = 0;
-    for (std::uint64_t k = 1; k <= acheckSweep; ++k) {
-        seeds[k] = rng.next();
-        t += acheckThink;
-        t = persist::writeBodyPattern(rig.pmem, t,
-                                      acheckSlotAddr(slot_base, k),
-                                      acheckBodyBytes(k), seeds[k]);
-        t = rig.pmem.fence(t);
-        body_done[k] = t;
-        t = ledger.commit(t, k, k & 1, acheckBodyBytes(k), seeds[k]);
-        commit_at[k] = ledger.lastCommitAt();
-    }
-    const bool durable = commit_at[acheckSweep] < cut;
-    if (durable)
-        ++cell.commitsDurable;
-
-    injector.powerRestored();
-    const persist::CheckpointLedger::Record rec = ledger.latest();
-    const std::uint64_t got = rec.seq;
-
-    std::uint64_t expect = 0;
-    std::uint64_t window_k = 0;
-    for (std::uint64_t k = 1; k <= acheckSweep; ++k) {
-        if (commit_at[k] < cut)
-            expect = k;
-        if (window_k == 0 && cut <= commit_at[k]
-            && cut > body_done[k])
-            window_k = k;
-    }
-    const bool straddle_ok = window_k != 0 && got == window_k;
-
-    bool ok = got == expect || straddle_ok;
-    if (ok && got != 0) {
-        ok = rec.valid()
-            && persist::verifyBodyPattern(
-                   rig.store, acheckSlotAddr(slot_base, rec.seq),
-                   std::min<std::uint64_t>(rec.bytes,
-                                           acheckBodyBytes(rec.seq)),
-                   seeds[rec.seq]);
-    }
-    if (!ok) {
-        std::ostringstream note;
-        note << "energy A-CheckPC cut@" << cut << " recovered seq "
-             << got << " expected " << expect;
-        scratch.violation(note.str());
-    }
-    got != 0 ? ++cell.resumes : ++cell.coldBoots;
-    return durable && got == acheckSweep && ok;
+    if (!race.ok)
+        scratch.violation(raceNote(
+            std::string("energy ") + net::persistModeName(mode), race));
+    race.got != 0 ? ++cell.resumes : ++cell.coldBoots;
+    return race.durable() && race.ok;
 }
 
 /**
@@ -562,24 +342,11 @@ runOutageEvent(net::PersistMode mode, const DryData &dry,
     const Tick off = std::max<Tick>(
         cutOffset(dry.mode[modeOrd(mode)], plane), 1);
 
-    bool survived = false;
-    switch (mode) {
-    case net::PersistMode::SnG:
-        survived = runSngCore(off, rng, scratch);
-        break;
-    case net::PersistMode::OpLog:
-        survived = runOpLogEvent(off, rng, scratch);
-        break;
-    case net::PersistMode::SysPc:
-        survived = runSysPcEvent(off, rng, scratch);
-        break;
-    case net::PersistMode::SCheckPc:
-        survived = runSCheckPcEvent(off, rng, scratch);
-        break;
-    case net::PersistMode::ACheckPc:
-        survived = runACheckPcEvent(off, rng, scratch);
-        break;
-    }
+    const bool survived = mode == net::PersistMode::SnG
+        ? runSngCore(off, rng, scratch)
+        : mode == net::PersistMode::OpLog
+        ? runOpLogEvent(off, rng, scratch)
+        : runImageEvent(mode, off, rng, scratch);
     ++scratch.cell->cuts;
     zeroPlane(plane);
     return survived;
@@ -606,17 +373,14 @@ voluntaryAttempt(const DryData &dry, energy::StoragePlane &plane,
     for (int attempt = 0; attempt < 6; ++attempt) {
         pecos::EnergyGuard guard(plane, drain);
 
-        kernel::Kernel kern;
-        psm::Psm psm;
-        mem::BackingStore store;
-        pecos::Sng sng(kern, psm, store, {});
-        sng.bindEnergyGuard(&guard);
-        FaultInjector injector(store);
+        SngRig rig;
+        rig.sng.bindEnergyGuard(&guard);
+        FaultInjector injector(rig.store);
 
         const Tick off = std::max<Tick>(cutOffset(md, plane), 1);
         injector.armCut(off, rng.next());
 
-        const pecos::StopReport rep = sng.stopVoluntary(0);
+        const pecos::StopReport rep = rig.sng.stopVoluntary(0);
         if (rep.deferred) {
             ++cell.stopsDeferred;
             was_deferred = true;

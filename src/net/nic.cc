@@ -109,8 +109,12 @@ NicDevice::scrambleVolatile(Rng &rng)
 void
 NicDevice::resetVolatile()
 {
-    std::memset(rx.data(), 0, rx.size() * sizeof(RpcRequest));
-    std::memset(tx.data(), 0, tx.size() * sizeof(RpcResponse));
+    // Zero the ring bytes, not value-initialise: RpcRequest{} has
+    // attempt = 1, which would change the serialized ring image.
+    std::memset(static_cast<void *>(rx.data()), 0,
+                rx.size() * sizeof(RpcRequest));
+    std::memset(static_cast<void *>(tx.data()), 0,
+                tx.size() * sizeof(RpcResponse));
     rxHead = rxCount = txHead = txCount = 0;
 }
 

@@ -27,6 +27,26 @@ persistModeName(PersistMode mode)
     return "?";
 }
 
+void
+ServiceOutage::measure(const OutageRecord &rec, Tick off_dwell)
+{
+    lastSuccessBefore = rec.lastSuccessBefore;
+    firstSuccessAfter = rec.closed ? rec.firstSuccessAfter : maxTick;
+    downtime = rec.downtime();
+    attributable = downtime == maxTick ? maxTick
+        : downtime > off_dwell        ? downtime - off_dwell
+                                      : 0;
+}
+
+void
+noteViolation(std::vector<std::string> &violations,
+              const std::string &msg)
+{
+    if (std::find(violations.begin(), violations.end(), msg)
+        == violations.end())
+        violations.push_back(msg);
+}
+
 namespace
 {
 
@@ -236,10 +256,7 @@ struct Plane final : NodeHost
     void
     violation(const std::string &msg)
     {
-        if (std::find(res.violations.begin(), res.violations.end(),
-                      msg)
-            == res.violations.end())
-            res.violations.push_back(msg);
+        noteViolation(res.violations, msg);
     }
 
     void
@@ -386,15 +403,7 @@ struct Plane final : NodeHost
         for (std::size_t i = 0;
              i < outs.size() && i < res.outages.size(); ++i) {
             ServiceOutage &o = res.outages[i];
-            o.lastSuccessBefore = outs[i].lastSuccessBefore;
-            o.firstSuccessAfter =
-                outs[i].closed ? outs[i].firstSuccessAfter : maxTick;
-            o.downtime = outs[i].downtime();
-            o.attributable = o.downtime == maxTick
-                ? maxTick
-                : (o.downtime > cfg.offDwell
-                       ? o.downtime - cfg.offDwell
-                       : 0);
+            o.measure(outs[i], cfg.offDwell);
             res.worstDowntime =
                 std::max(res.worstDowntime, o.downtime);
             res.worstAttributable =

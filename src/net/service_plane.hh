@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "net/availability.hh"
 #include "net/client_fleet.hh"
 #include "net/kv_service.hh"
 #include "net/nic.hh"
@@ -172,7 +173,17 @@ struct ServiceOutage
     Tick downtime = 0;           ///< client-visible ack gap
     Tick attributable = 0;       ///< downtime minus the AC-off dwell
     bool coldBoot = false;       ///< recovery had no usable commit
+
+    /**
+     * Take the client-visible window from @p rec. Its first
+     * @p off_dwell is AC-off time, not attributable to the mode.
+     */
+    void measure(const OutageRecord &rec, Tick off_dwell);
 };
+
+/** Add @p msg to @p violations unless that text is already there. */
+void noteViolation(std::vector<std::string> &violations,
+                   const std::string &msg);
 
 /** JSON rows of ServiceOutage (sim/fields.hh). */
 inline constexpr auto serviceOutageFields = std::make_tuple(

@@ -2,8 +2,9 @@
  * @file
  * Power-cut fault injection: PowerRail analytics, the BackingStore
  * durability cursor, SnG prefix durability under a mid-Stop cut, the
- * resume payload-address regression, and the campaign invariant fuzz
- * across every persistence mode.
+ * resume payload-address regression, the recovery verdict the image
+ * baselines are judged by, and the campaign invariant fuzz across
+ * every persistence mode.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "fault/campaign.hh"
 #include "fault/fault_injector.hh"
 #include "fault/power_rail.hh"
+#include "fault/trial_rig.hh"
 #include "kernel/kernel.hh"
 #include "mem/backing_store.hh"
 #include "pecos/layout.hh"
@@ -609,6 +611,74 @@ TEST(CheckpointLedgerTest, BodyPatternRoundTrips)
     b ^= 0x40;
     store.write(addr + 7777, &b, 1);
     EXPECT_FALSE(persist::verifyBodyPattern(store, addr, 12345, 9));
+}
+
+// --- recovery verdict ----------------------------------------------
+
+// Base commit 1 durable; commit 2's body fences at 100, its record
+// lands at 120.
+constexpr fault::RaceWindow imageWindow{1, 2, 100, 120};
+
+TEST(RecoveryVerdict, RejectsTheFinalImageWhenTheCutLandsMidBody)
+{
+    EXPECT_FALSE(fault::recoveryVerdict(imageWindow, 50, 2, true));
+    EXPECT_FALSE(fault::recoveryVerdict(imageWindow, 100, 2, true));
+    EXPECT_TRUE(fault::recoveryVerdict(imageWindow, 50, 1, true));
+}
+
+TEST(RecoveryVerdict, RejectsTheBaseWhenTheCommitBeatTheCut)
+{
+    EXPECT_FALSE(fault::recoveryVerdict(imageWindow, 121, 1, true));
+    EXPECT_FALSE(fault::recoveryVerdict(imageWindow, 121, 0, true));
+    EXPECT_TRUE(fault::recoveryVerdict(imageWindow, 121, 2, true));
+}
+
+TEST(RecoveryVerdict, AcceptsBothOutcomesInsideTheCommitWindow)
+{
+    for (const Tick cut : {Tick(101), Tick(110), Tick(120)}) {
+        EXPECT_TRUE(fault::recoveryVerdict(imageWindow, cut, 1, true));
+        EXPECT_TRUE(fault::recoveryVerdict(imageWindow, cut, 2, true));
+        EXPECT_FALSE(fault::recoveryVerdict(imageWindow, cut, 0, true));
+        EXPECT_FALSE(fault::recoveryVerdict(imageWindow, cut, 3, true));
+    }
+}
+
+TEST(RecoveryVerdict, RejectsATornRecoveredImage)
+{
+    EXPECT_FALSE(fault::recoveryVerdict(imageWindow, 121, 2, false));
+    EXPECT_FALSE(fault::recoveryVerdict(imageWindow, 50, 1, false));
+    // A cold boot has no image to check.
+    EXPECT_TRUE(fault::recoveryVerdict({0, 1, 100, 120}, 50, 0, false));
+}
+
+TEST(RecoveryVerdict, ACheckPcStraddleAllowsOnlyTheWindowedCommit)
+{
+    // Three captures: bodies fence at 10/30/50, records land at
+    // 20/40/60.
+    const std::vector<Tick> body_done{10, 30, 50};
+    const std::vector<Tick> commit_at{20, 40, 60};
+
+    // A cut inside record 2's write straddles commit 2 alone.
+    const fault::RaceWindow w = fault::sweepWindow(body_done, commit_at, 35);
+    EXPECT_EQ(w.baseSeq, 1u);
+    EXPECT_EQ(w.finalSeq, 2u);
+    EXPECT_TRUE(fault::recoveryVerdict(w, 35, 1, true));
+    EXPECT_TRUE(fault::recoveryVerdict(w, 35, 2, true));
+    EXPECT_FALSE(fault::recoveryVerdict(w, 35, 3, true));
+    EXPECT_FALSE(fault::recoveryVerdict(w, 35, 0, true));
+
+    // Mid-body of capture 3: only commit 2 may survive.
+    const fault::RaceWindow mid =
+        fault::sweepWindow(body_done, commit_at, 45);
+    EXPECT_TRUE(fault::recoveryVerdict(mid, 45, 2, true));
+    EXPECT_FALSE(fault::recoveryVerdict(mid, 45, 3, true));
+
+    // Past every record: the last commit, nothing older.
+    const fault::RaceWindow after =
+        fault::sweepWindow(body_done, commit_at, 61);
+    EXPECT_EQ(after.finalSeq, 3u);
+    EXPECT_TRUE(fault::recoveryVerdict(after, 61, 3, true));
+    EXPECT_FALSE(fault::recoveryVerdict(after, 61, 2, true));
 }
 
 // --- campaign invariant fuzz ---------------------------------------

@@ -132,15 +132,29 @@ TEST(SyntheticStream, ThreadsGetDisjointHotSets)
     const auto &spec = findWorkload("Redis");
     SyntheticStream t0(spec, config, 0, 0);
     SyntheticStream t1(spec, config, 1, 0);
-    // Hot accesses of thread 0 stay below thread 1's hot base.
+    // Hot accesses of thread 0 stay below thread 1's hot base, and
+    // thread 1's stay inside its own hot set.
+    const mem::Addr hot = config.hotBytes;
+    std::uint64_t hot0 = 0;
+    std::uint64_t hot1 = 0;
     cpu::Instr instr;
     for (int i = 0; i < 2000; ++i) {
         t0.next(instr);
         if (instr.kind != cpu::InstrKind::Alu
-            && instr.addr < config.threads * config.hotBytes)
-            EXPECT_LT(instr.addr, config.hotBytes);
+            && instr.addr < config.threads * hot) {
+            EXPECT_LT(instr.addr, hot);
+            ++hot0;
+        }
+        t1.next(instr);
+        if (instr.kind != cpu::InstrKind::Alu
+            && instr.addr < config.threads * hot) {
+            EXPECT_GE(instr.addr, hot);
+            EXPECT_LT(instr.addr, 2 * hot);
+            ++hot1;
+        }
     }
-    (void)t1;
+    EXPECT_GT(hot0, 0u);
+    EXPECT_GT(hot1, 0u);
 }
 
 TEST(SyntheticStream, MakeStreamsHonoursMultithreading)
