@@ -28,9 +28,10 @@
  *    write availability strictly exceeds each checkpointing
  *    baseline's (SysPC, S-CheckPC, A-CheckPC);
  *  - Stop-and-Go rejoiners catch up by delta sync while cold-booting
- *    baselines pay full resyncs;
- *  - the campaign digest is reproducible under a fixed seed (the
- *    sweep runs twice and the digests must match).
+ *    baselines pay full resyncs.
+ *
+ * Determinism is checked by ctest and by CI's bench-freshness job,
+ * which regenerates BENCH_cluster.json at --threads 4.
  */
 
 #include <map>
@@ -80,9 +81,7 @@ main(int argc, char **argv)
 
     const fault::ClusterCampaignResult res =
         fault::runClusterCampaign(cfg);
-    std::cout << "repeating the sweep (determinism)...\n\n";
-    const fault::ClusterCampaignResult repeat =
-        fault::runClusterCampaign(cfg);
+    std::cout << "\n";
 
     bench::printRows(res.cells, fault::clusterCellFields,
                      {"replicas", "intensity", "mode",
@@ -160,8 +159,6 @@ main(int argc, char **argv)
                  "cold-booting baselines paid full resyncs");
     bench::check(baseCold > 0,
                  "baseline storms actually forced cold boots");
-    bench::check(res.digest == repeat.digest,
-                 "deterministic under fixed seed (digest match)");
 
     // --- JSON -----------------------------------------------------
 
@@ -175,7 +172,6 @@ main(int argc, char **argv)
         .put("clients", cfg.clients)
         .put("aging_spread", cfg.agingSpread, "%.3f")
         .put("threads", cfg.threads)
-        .put("deterministic", res.digest == repeat.digest)
         .fields(res, fault::clusterCampaignFields, "lost_acked_puts",
                 "violations")
         .objects("cells", res.cells, fault::clusterCellFields)

@@ -97,19 +97,6 @@ main(int argc, char **argv)
     bench::check(r.oplogRecordsReplayed > 0,
                  "op-log recoveries replayed committed records");
 
-    // Determinism anchors: the same seed must reproduce the same
-    // campaign bit-for-bit, and a single-threaded rerun must match
-    // the parallel one exactly (the reduction is canonical-order).
-    const fault::CompoundResult again = fault::runCompoundCampaign(config);
-    bench::check(again.digest == r.digest,
-                 "campaign is deterministic under its seed");
-    fault::CompoundConfig seq_config = config;
-    seq_config.threads = 1;
-    const fault::CompoundResult seq =
-        fault::runCompoundCampaign(seq_config);
-    bench::check(seq.digest == r.digest,
-                 "parallel digest equals sequential digest");
-
     bench::JsonWriter json;
     json.put("bench", "compound_fault")
         .fields(r, fault::compoundFields, "trials", "trials")

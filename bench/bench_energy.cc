@@ -20,9 +20,10 @@
  *    on a weak plane and later admitted (and every admitted Stop
  *    landed its commit — that is folded into the violation count);
  *  - the brownout siege produced proactive-EP-cut-saved-the-machine
- *    trials (the in-trial counterfactual would have died);
- *  - the campaign digest is bit-identical when re-run at a different
- *    --threads value.
+ *    trials (the in-trial counterfactual would have died).
+ *
+ * Thread invariance is checked by ctest and by CI's bench-freshness
+ * job, which regenerates BENCH_energy.json at --threads 4.
  */
 
 #include <string>
@@ -104,14 +105,7 @@ main(int argc, char **argv)
 
     const fault::EnergyCampaignResult res =
         fault::runEnergyCampaign(cfg);
-
-    // Determinism anchor: same grid, different worker count.
-    fault::EnergyCampaignConfig other = cfg;
-    other.threads = cfg.threads == 1 ? 2 : 1;
-    std::cout << "repeating the sweep on " << other.threads
-              << " thread(s) (determinism)...\n\n";
-    const fault::EnergyCampaignResult repeat =
-        fault::runEnergyCampaign(other);
+    std::cout << "\n";
 
     bench::printRows(res.cells, fault::energyCellFields);
 
@@ -174,9 +168,6 @@ main(int argc, char **argv)
     bench::check(res.proactiveSaves > 0,
                  "proactive EP-cuts saved machines the"
                  " counterfactual would have lost");
-    bench::check(res.digest == repeat.digest
-                     && res.threads != repeat.threads,
-                 "digest bit-identical across thread counts");
 
     // --- JSON -----------------------------------------------------
 
@@ -187,7 +178,6 @@ main(int argc, char **argv)
         .put("trials", res.trials)
         .put("aging_spread_cycles", cfg.agingSpreadCycles, "%.1f")
         .put("threads", cfg.threads)
-        .put("deterministic", res.digest == repeat.digest)
         .fields(res, fault::energyCampaignFields, "stops_deferred",
                 "violations")
         .objects("provisioning", res.provisioning,

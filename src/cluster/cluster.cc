@@ -96,9 +96,8 @@ struct ReplRecord
 enum class MsgKind : std::uint8_t
 {
     Heartbeat,
-    HbAck,
     Propose,
-    ProposeAck,
+    Ack,           ///< answers both Heartbeat and Propose
     PreVote,       ///< probe: could epoch+1 win? (no state change)
     PreVoteGrant,
     RequestVote,
@@ -109,9 +108,10 @@ enum class MsgKind : std::uint8_t
 };
 
 /**
- * One control-plane message. `seq`/`commit`/`lastEpoch` are
- * kind-specific (documented at each send site); the shared_ptr
- * payloads keep the copyable closure small for bulk transfers.
+ * One control-plane message. `commit` is always the sender's applied
+ * prefix; `seq`/`lastEpoch` are kind-specific (documented at each
+ * send site). The shared_ptr payloads keep the copyable closure small
+ * for bulk transfers.
  */
 struct Msg
 {
@@ -133,25 +133,18 @@ enum class Role : std::uint8_t
     Leader,
 };
 
-/** A client attempt blocked on a proposal's commit. */
-struct Waiter
-{
-    std::uint64_t reqId = 0;
-    std::uint32_t client = 0;
-    std::uint32_t attempt = 0;
-};
-
 /** A leader-side proposal awaiting its write quorum. */
 struct PendingOp
 {
     ReplRecord rec{};
-    std::vector<Waiter> waiters;
+    /** Acks of the client attempts blocked on the commit. */
+    std::vector<net::RpcResponse> waiters;
 };
 
 /** Leader-side view of one follower. */
 struct Peer
 {
-    Tick lastAck = 0;         ///< last HbAck/ProposeAck heard
+    Tick lastAck = 0;         ///< last Ack heard
     std::uint64_t held = 0;   ///< follower's verified-prefix top
     bool synced = false;      ///< counts toward the write quorum
 
@@ -278,6 +271,7 @@ struct Plane final : net::NodeHost
     const ClusterConfig &cfg;
     EventQueue eq;
     net::ClientFleet fleet;
+    net::ClientLoop clients;
     std::vector<std::unique_ptr<Replica>> reps;
 
     /** Load balancer's current leader belief (from leader hints). */
@@ -302,6 +296,12 @@ struct Plane final : net::NodeHost
 
     explicit Plane(const ClusterConfig &config)
         : cfg(config), fleet(fleetParamsFor(config)),
+          clients(config, eq, fleet,
+                  [this](const net::RpcRequest &req)
+                      -> net::ServiceNode & {
+                      return reps[routeTarget(req.reqId, req.attempt)]
+                          ->node;
+                  }),
           nemesis(config.nemesis,
                   Rng::streamSeed(config.seed, 0x6e656d65ULL),
                   config.replicas, config.racks)
@@ -322,6 +322,32 @@ struct Plane final : net::NodeHost
     }
 
     std::uint32_t majority() const { return cfg.replicas / 2 + 1; }
+
+    /** Do the replicas in vote mask @p mask form a majority? */
+    bool
+    isMajority(std::uint64_t mask) const
+    {
+        return std::uint64_t(__builtin_popcountll(mask)) >= majority();
+    }
+
+    /** Does @p r, with the peers @p counts, form a majority? */
+    template <class Pred>
+    bool
+    quorumWith(const Replica &r, Pred counts) const
+    {
+        std::uint32_t n = 1;  // self
+        for (std::uint32_t p = 0; p < cfg.replicas; ++p)
+            if (p != r.id && counts(r.peers[p]))
+                ++n;
+        return n >= majority();
+    }
+
+    /** Does @p r hold a write quorum of synced replicas? */
+    bool
+    syncedQuorum(const Replica &r) const
+    {
+        return quorumWith(r, [](const Peer &pe) { return pe.synced; });
+    }
 
     // --- small helpers --------------------------------------------
 
@@ -396,18 +422,22 @@ struct Plane final : net::NodeHost
         return r.appliedEpoch;
     }
 
-    std::uint32_t
-    hintOf(const Replica &r) const
-    {
-        if (r.role == Role::Leader)
-            return r.id;
-        return r.leaderKnown;
-    }
-
     void
     violation(const std::string &msg)
     {
         net::noteViolation(res.violations, msg);
+    }
+
+    /** A @p kind message from @p r, stamped with its epoch and commit. */
+    Msg
+    msgFrom(const Replica &r, MsgKind kind) const
+    {
+        Msg m;
+        m.kind = kind;
+        m.from = r.id;
+        m.epoch = r.epoch;
+        m.commit = r.seqApplied;
+        return m;
     }
 
     // --- fleet availability ---------------------------------------
@@ -428,13 +458,7 @@ struct Plane final : net::NodeHost
             if (!rp->node.canServe())
                 continue;
             rd = true;
-            if (rp->role != Role::Leader)
-                continue;
-            std::uint32_t cnt = 1;
-            for (std::uint32_t p = 0; p < cfg.replicas; ++p)
-                if (p != rp->id && rp->peers[p].synced)
-                    ++cnt;
-            if (cnt >= majority())
+            if (rp->role == Role::Leader && syncedQuorum(*rp))
                 w = true;
         }
         if (writeOkNow && !w) {
@@ -499,25 +523,17 @@ struct Plane final : net::NodeHost
 
         // The nemesis judges at the departure tick: the sender has
         // already burned its serialization window even when the wire
-        // eats the message (a cut link does not refund TX time).
+        // eats the message (a cut link does not refund TX time). It
+        // counts its own cuts, drops and duplicates.
         const fault::LinkFate fate = nemesis.judge(from.id, to, depart);
-        if (fate.cutByPartition) {
-            ++res.partitionCuts;
+        if (fate.cutByPartition || fate.cutByFlap)
             return;
-        }
-        if (fate.cutByFlap) {
-            ++res.flapCuts;
-            return;
-        }
         if (!fate.dropped) {
             const Tick when = shapeArrival(from, to,
                                            arrive + fate.jitter);
             eq.schedule(when, [this, to, m] { deliver(to, m); });
-        } else {
-            ++res.msgsDropped;
         }
         if (fate.duplicated) {
-            ++res.msgsDuplicated;
             const Tick when = shapeArrival(from, to,
                                            arrive + fate.dupJitter);
             eq.schedule(when, [this, to, m] { deliver(to, m); });
@@ -543,17 +559,6 @@ struct Plane final : net::NodeHost
         if (arrive > last)
             last = arrive;
         return arrive;
-    }
-
-    void
-    deliver(std::uint32_t to, const Msg &m)
-    {
-        Replica &r = *reps[to];
-        if (!r.node.canServe()) {
-            ++res.ctrlDrops;
-            return;
-        }
-        handleMsg(r, m);
     }
 
     void
@@ -587,44 +592,6 @@ struct Plane final : net::NodeHost
                 return cand;
         }
         return start;
-    }
-
-    void
-    arrivalFire()
-    {
-        const Tick now = eq.now();
-        if (now > cfg.runFor)
-            return;
-        net::RpcRequest req = fleet.newRequest(now);
-        issueAttempt(req, now);
-        eq.schedule(now + fleet.nextInterarrival(),
-                    [this] { arrivalFire(); });
-    }
-
-    void
-    issueAttempt(net::RpcRequest req, Tick now)
-    {
-        const std::uint32_t target = routeTarget(req.reqId,
-                                                 req.attempt);
-        req.deadline = now + cfg.requestDeadline;
-        eq.schedule(now + cfg.wireLatency, [this, req, target] {
-            reps[target]->node.rxArrive(req);
-        });
-        const Tick wait = fleet.timeoutFor(req.client, req.attempt);
-        eq.schedule(now + cfg.wireLatency + wait,
-                    [this, id = req.reqId, att = req.attempt] {
-                        timeoutFire(id, att);
-                    });
-    }
-
-    void
-    timeoutFire(std::uint64_t req_id, std::uint32_t attempt)
-    {
-        const Tick now = eq.now();
-        // Guarded: a fast redirect may have superseded this attempt.
-        auto next = fleet.retryAttempt(req_id, now, attempt);
-        if (next)
-            issueAttempt(*next, now);
     }
 
     void
@@ -686,11 +653,7 @@ struct Plane final : net::NodeHost
             // armed timeout's paced backoff takes over.
             eq.schedule(now + cfg.redirectDelay,
                         [this, id = resp.reqId, att = resp.attempt] {
-                            const Tick rnow = eq.now();
-                            auto next =
-                                fleet.retryAttempt(id, rnow, att);
-                            if (next)
-                                issueAttempt(*next, rnow);
+                            clients.retry(id, att);
                         });
         }
     }
@@ -701,7 +664,8 @@ struct Plane final : net::NodeHost
     stamp(const net::ServiceNode &node, net::RpcResponse &resp) override
     {
         resp.source = node.params.id;
-        resp.leaderHint = hintOf(*reps[node.params.id]);
+        const Replica &r = *reps[node.params.id];
+        resp.leaderHint = r.role == Role::Leader ? r.id : r.leaderKnown;
     }
 
     /**
@@ -716,10 +680,7 @@ struct Plane final : net::NodeHost
     {
         Replica &r = *reps[node.params.id];
         t += r.node.kv.params().parseCost;
-        resp = net::RpcResponse{};
-        resp.reqId = req.reqId;
-        resp.client = req.client;
-        resp.attempt = req.attempt;
+        resp = net::answerTo(req);
         stamp(node, resp);
         if (req.deadline != 0 && t > req.deadline) {
             resp.status = net::RpcStatus::DeadlineExceeded;
@@ -737,15 +698,11 @@ struct Plane final : net::NodeHost
         // version, which may already belong to a later write (the
         // history audit would read that as a duplicated ack of the
         // later version).
-        if (const auto v = r.node.kv.appliedVersion(req.reqId)) {
-            resp.status = net::RpcStatus::Ok;
-            resp.version = *v;
-            resp.epoch = r.epoch;
-            return PutRoute::Answered;
-        }
-        if (r.node.kv.logPending(req.reqId)) {
-            resp.status = net::RpcStatus::Ok;
-            resp.version = r.node.kv.pendingVersion(req.reqId);
+        auto done = r.node.kv.appliedVersion(req.reqId);
+        if (!done && r.node.kv.logPending(req.reqId))
+            done = r.node.kv.pendingVersion(req.reqId);
+        if (done) {
+            resp.version = *done;
             resp.epoch = r.epoch;
             return PutRoute::Answered;
         }
@@ -754,18 +711,13 @@ struct Plane final : net::NodeHost
             it != r.pendingByReq.end()) {
             auto op = r.pendingOps.find(it->second);
             if (op != r.pendingOps.end()) {
-                op->second.waiters.push_back(
-                    Waiter{req.reqId, req.client, req.attempt});
+                op->second.waiters.push_back(resp);
                 return PutRoute::Replicating;
             }
         }
         // Quorum precheck: degrade to read-only instead of acking
         // writes a lone survivor could lose.
-        std::uint32_t live = 1;
-        for (std::uint32_t p = 0; p < cfg.replicas; ++p)
-            if (p != r.id && r.peers[p].synced)
-                ++live;
-        if (live < majority()) {
+        if (!syncedQuorum(r)) {
             resp.status = net::RpcStatus::ReadOnly;
             return PutRoute::Answered;
         }
@@ -787,8 +739,7 @@ struct Plane final : net::NodeHost
         r.lastProposedVersion[rec.key] = rec.version;
         PendingOp op;
         op.rec = rec;
-        op.waiters.push_back(
-            Waiter{req.reqId, req.client, req.attempt});
+        op.waiters.push_back(resp);
         r.pendingOps.emplace(rec.seq, std::move(op));
         r.pendingByReq[rec.reqId] = rec.seq;
         // The leader's own stage is durable before any proposal
@@ -798,9 +749,7 @@ struct Plane final : net::NodeHost
         // until the stage lands.
         r.staged[rec.seq] = rec;
         t = persistMeta(r, t);
-        for (std::uint32_t p = 0; p < cfg.replicas; ++p)
-            if (p != r.id)
-                proposeOne(r, p, rec, t);
+        proposeAll(r, rec, t);
         advanceCommit(r);  // a single-replica cluster self-commits
         return PutRoute::Replicating;
     }
@@ -811,16 +760,20 @@ struct Plane final : net::NodeHost
     proposeOne(Replica &r, std::uint32_t to, const ReplRecord &rec,
                Tick notBefore = 0)
     {
-        Msg m;
-        m.kind = MsgKind::Propose;
-        m.from = r.id;
-        m.epoch = r.epoch;
+        Msg m = msgFrom(r, MsgKind::Propose);
         m.seq = rec.seq;
-        m.commit = r.seqApplied;
         m.lastEpoch = epochAt(r, rec.seq - 1);  // chain check anchor
         m.rec = rec;
         ++res.proposals;
         sendMsg(r, to, m, cfg.replRecordBytes, notBefore);
+    }
+
+    void
+    proposeAll(Replica &r, const ReplRecord &rec, Tick notBefore)
+    {
+        for (std::uint32_t p = 0; p < cfg.replicas; ++p)
+            if (p != r.id)
+                proposeOne(r, p, rec, notBefore);
     }
 
     void
@@ -851,11 +804,11 @@ struct Plane final : net::NodeHost
             auto it = r.pendingOps.begin();
             if (it->first != r.seqApplied + 1)
                 break;
-            std::uint32_t acks = 1;  // self (durably staged)
-            for (std::uint32_t p = 0; p < cfg.replicas; ++p)
-                if (p != r.id && r.peers[p].held >= it->first)
-                    ++acks;
-            if (acks < majority())
+            // Self counts: the leader's own stage is durable.
+            const auto holds = [seq = it->first](const Peer &pe) {
+                return pe.held >= seq;
+            };
+            if (!quorumWith(r, holds))
                 break;
             PendingOp op = std::move(it->second);
             r.pendingOps.erase(it);
@@ -869,7 +822,7 @@ struct Plane final : net::NodeHost
     }
 
     void
-    commitOp(Replica &r, const PendingOp &op)
+    commitOp(Replica &r, PendingOp &op)
     {
         const ReplRecord &rec = op.rec;
         ++res.commits;
@@ -894,18 +847,13 @@ struct Plane final : net::NodeHost
         Tick t = eq.now();
         applyRecord(r, rec, t);
         pruneJournal(r);
-        std::vector<net::RpcResponse> acks;
-        for (const Waiter &w : op.waiters) {
-            net::RpcResponse resp;
-            resp.reqId = w.reqId;
-            resp.client = w.client;
+        std::vector<net::RpcResponse> &acks = op.waiters;
+        for (net::RpcResponse &resp : acks) {
             resp.status = net::RpcStatus::Ok;
             resp.version = rec.version;
-            resp.attempt = w.attempt;
             resp.source = r.id;
             resp.leaderHint = r.id;
             resp.epoch = rec.epoch;
-            acks.push_back(resp);
         }
         if (cfg.mode == net::PersistMode::OpLog) {
             // The acks and the watermark ride the next group commit.
@@ -966,6 +914,42 @@ struct Plane final : net::NodeHost
             r.journal.erase(r.journal.begin());
     }
 
+    /**
+     * Drop only the staged prefix the applied prefix covers. Entries
+     * past it stay: they are durable and were acked as `held`, and a
+     * leader's commit quorum may rest on this very copy.
+     */
+    static void
+    eraseCoveredStage(Replica &r)
+    {
+        r.staged.erase(r.staged.begin(),
+                       r.staged.upper_bound(r.seqApplied));
+    }
+
+    /**
+     * Cut the staged tail back to its contiguous run past the applied
+     * prefix: a straggler past a gap can never be re-proposed.
+     * @return the top of the run.
+     */
+    static std::uint64_t
+    trimStagedGap(Replica &r)
+    {
+        std::uint64_t top = r.seqApplied;
+        while (r.staged.count(top + 1))
+            ++top;
+        r.staged.erase(r.staged.upper_bound(top), r.staged.end());
+        return top;
+    }
+
+    /** Forget the leader-only volatile proposal state. */
+    static void
+    clearProposals(Replica &r)
+    {
+        r.pendingOps.clear();
+        r.pendingByReq.clear();
+        r.lastProposedVersion.clear();
+    }
+
     // --- replication: follower side -------------------------------
 
     /**
@@ -996,10 +980,16 @@ struct Plane final : net::NodeHost
         return t;
     }
 
-    /** Leader-stream bookkeeping shared by Heartbeat and Propose. */
-    void
+    /**
+     * Leader-stream bookkeeping shared by Heartbeat, Propose and the
+     * sync payloads. @return false, changing nothing, when @p m comes
+     * from a stale epoch's leader.
+     */
+    bool
     observeLeader(Replica &r, const Msg &m)
     {
+        if (m.epoch < r.epoch)
+            return false;
         if (m.epoch > r.epoch)
             adoptEpoch(r, m.epoch);
         if (r.role != Role::Follower) {
@@ -1015,42 +1005,38 @@ struct Plane final : net::NodeHost
             r.matchedSeq = r.seqApplied;
         }
         r.lastLeaderHeard = eq.now();
+        return true;
     }
 
+    /** Report the verified top and applied prefix to @p to. */
     void
-    replyHbAck(Replica &r, std::uint32_t to, Tick notBefore = 0)
+    replyAck(Replica &r, std::uint32_t to, Tick notBefore = 0)
     {
-        Msg a;
-        a.kind = MsgKind::HbAck;
-        a.from = r.id;
-        a.epoch = r.epoch;
+        Msg a = msgFrom(r, MsgKind::Ack);
         a.seq = r.matchedSeq;
-        a.commit = r.seqApplied;
         sendMsg(r, to, a, cfg.controlMsgBytes, notBefore);
     }
 
     void
     onHeartbeat(Replica &r, const Msg &m)
     {
-        if (m.epoch < r.epoch) {
-            replyHbAck(r, m.from);  // deposes the stale leader
+        if (!observeLeader(r, m)) {
+            replyAck(r, m.from);  // deposes the stale leader
             return;
         }
-        observeLeader(r, m);
         const Tick applied = applyCommitted(r, m.commit);
         if (r.matchedSeq < m.seq && r.seqApplied < m.commit)
             requestSync(r);
-        replyHbAck(r, m.from, applied);
+        replyAck(r, m.from, applied);
     }
 
     void
     onPropose(Replica &r, const Msg &m)
     {
-        if (m.epoch < r.epoch) {
-            replyHbAck(r, m.from);
+        if (!observeLeader(r, m)) {
+            replyAck(r, m.from);
             return;
         }
-        observeLeader(r, m);
         const ReplRecord &rec = m.rec;
         const std::uint64_t top = r.stagedTop();
         Tick ackReady = eq.now();
@@ -1086,13 +1072,7 @@ struct Plane final : net::NodeHost
             requestSync(r);
         }
         ackReady = std::max(ackReady, applyCommitted(r, m.commit));
-        Msg a;
-        a.kind = MsgKind::ProposeAck;
-        a.from = r.id;
-        a.epoch = r.epoch;
-        a.seq = r.matchedSeq;
-        a.commit = r.seqApplied;
-        sendMsg(r, m.from, a, cfg.controlMsgBytes, ackReady);
+        replyAck(r, m.from, ackReady);
     }
 
     void
@@ -1158,46 +1138,56 @@ struct Plane final : net::NodeHost
         ++res.preVoteRounds;
         r.preVoteEpoch = r.epoch + 1;
         r.preVotesMask = std::uint64_t(1) << r.id;
-        if (std::uint64_t(__builtin_popcountll(r.preVotesMask))
-            >= majority()) {
+        if (isMajority(r.preVotesMask)) {
             r.preVoteEpoch = 0;
             startElection(r);  // single-replica cluster
             return;
         }
-        Msg m;
-        m.kind = MsgKind::PreVote;
-        m.from = r.id;
+        Msg m = msgFrom(r, MsgKind::PreVote);
         m.epoch = r.preVoteEpoch;  // prospective; nobody adopts it
         m.seq = r.stagedTop();
         m.lastEpoch = epochAt(r, r.stagedTop());
         broadcast(r, m, cfg.controlMsgBytes);
     }
 
+    /**
+     * Stickiness: a leader, or anyone who heard one within an election
+     * timeout, ignores candidates and probes entirely (a laggard
+     * rejoining mid-sync must not depose a healthy leader).
+     */
+    bool
+    hearsLeader(const Replica &r) const
+    {
+        return r.role == Role::Leader
+            || eq.now() - r.lastLeaderHeard < cfg.electionTimeout;
+    }
+
+    /**
+     * Raft completeness: the candidate's advertised (lastEpoch,
+     * lastSeq) in @p m must reach @p r's, staged tail included.
+     */
+    bool
+    upToDate(const Replica &r, const Msg &m) const
+    {
+        const std::uint64_t myTop = r.stagedTop();
+        const std::uint64_t myLastEpoch = epochAt(r, myTop);
+        return m.lastEpoch > myLastEpoch
+            || (m.lastEpoch == myLastEpoch && m.seq >= myTop);
+    }
+
     void
     onPreVote(Replica &r, const Msg &m)
     {
-        const Tick now = eq.now();
-        // Same stickiness as the real vote: anyone in contact with a
-        // leader refuses the probe.
-        if (r.role == Role::Leader)
-            return;
-        if (now - r.lastLeaderHeard < cfg.electionTimeout)
+        if (hearsLeader(r))
             return;
         if (m.epoch <= r.epoch)
             return;  // probe for an epoch we already reached
-        // Raft completeness, same arm as onRequestVote.
-        const std::uint64_t myTop = r.stagedTop();
-        const std::uint64_t myLastEpoch = epochAt(r, myTop);
-        const bool upToDate = m.lastEpoch > myLastEpoch
-            || (m.lastEpoch == myLastEpoch && m.seq >= myTop);
-        if (!upToDate)
+        if (!upToDate(r, m))
             return;
         // Grant without persisting anything: a pre-vote is a
         // prediction, not a promise, so it needs no durability and
         // does not constrain the real vote.
-        Msg g;
-        g.kind = MsgKind::PreVoteGrant;
-        g.from = r.id;
+        Msg g = msgFrom(r, MsgKind::PreVoteGrant);
         g.epoch = m.epoch;
         sendMsg(r, m.from, g, cfg.controlMsgBytes);
     }
@@ -1211,8 +1201,7 @@ struct Plane final : net::NodeHost
             return;  // stale probe (epoch moved since it left)
         ++res.preVotesGranted;
         r.preVotesMask |= std::uint64_t(1) << m.from;
-        if (std::uint64_t(__builtin_popcountll(r.preVotesMask))
-            >= majority()) {
+        if (isMajority(r.preVotesMask)) {
             r.preVoteEpoch = 0;
             startElection(r);
         }
@@ -1222,12 +1211,6 @@ struct Plane final : net::NodeHost
     startElection(Replica &r)
     {
         ++res.elections;
-        for (const auto &o : reps)
-            if (o->id != r.id && o->role == Role::Leader
-                && o->node.powerOn && o->node.serviceUp) {
-                ++res.falseSuspicions;
-                break;
-            }
         r.epoch += 1;
         r.role = Role::Candidate;
         r.leaderKnown = invalidReplica;
@@ -1236,15 +1219,11 @@ struct Plane final : net::NodeHost
         r.voteWord = r.epoch * 64 + r.id + 1;
         const Tick votedBy = persistMeta(r);
         r.votesMask = std::uint64_t(1) << r.id;
-        if (std::uint64_t(__builtin_popcountll(r.votesMask))
-            >= majority()) {
+        if (isMajority(r.votesMask)) {
             becomeLeader(r);  // single-replica cluster
             return;
         }
-        Msg m;
-        m.kind = MsgKind::RequestVote;
-        m.from = r.id;
-        m.epoch = r.epoch;
+        Msg m = msgFrom(r, MsgKind::RequestVote);
         m.seq = r.stagedTop();
         m.lastEpoch = epochAt(r, r.stagedTop());
         broadcast(r, m, cfg.controlMsgBytes, votedBy);
@@ -1253,44 +1232,26 @@ struct Plane final : net::NodeHost
     void
     onRequestVote(Replica &r, const Msg &m)
     {
-        const Tick now = eq.now();
-        // Stickiness: while a leader is being heard, ignore
-        // candidates entirely (a laggard rejoining mid-sync must not
-        // depose a healthy leader).
-        if (r.role == Role::Leader)
-            return;
-        if (now - r.lastLeaderHeard < cfg.electionTimeout)
+        if (hearsLeader(r))
             return;
         if (m.epoch > r.epoch)
             adoptEpoch(r, m.epoch);
         if (m.epoch != r.epoch)
             return;  // stale candidacy
-        const std::uint64_t votedEpoch =
-            r.voteWord == 0 ? 0 : (r.voteWord - 1) / 64;
-        const std::uint32_t votedFor =
-            r.voteWord == 0
-                ? invalidReplica
-                : static_cast<std::uint32_t>((r.voteWord - 1) % 64);
-        const bool canVote = r.voteWord == 0 || votedEpoch < m.epoch
-            || (votedEpoch == m.epoch && votedFor == m.from);
-        // Raft completeness: candidate's (lastEpoch, lastSeq) must
-        // reach ours, staged tail included.
-        const std::uint64_t myTop = r.stagedTop();
-        const std::uint64_t myLastEpoch = epochAt(r, myTop);
-        const bool upToDate = m.lastEpoch > myLastEpoch
-            || (m.lastEpoch == myLastEpoch && m.seq >= myTop);
-        if (!canVote || !upToDate)
+        // One vote per epoch: never voted, voted in an older epoch,
+        // or a re-grant of this very vote.
+        const std::uint64_t grant = m.epoch * 64 + m.from + 1;
+        const bool canVote = r.voteWord == 0
+            || (r.voteWord - 1) / 64 < m.epoch || r.voteWord == grant;
+        if (!canVote || !upToDate(r, m))
             return;
-        r.voteWord = m.epoch * 64 + m.from + 1;
+        r.voteWord = grant;
         // The vote is durable before the grant leaves — the grant
         // departure waits out the persist.
         const Tick votedBy = persistMeta(r);
-        r.lastLeaderHeard = now;  // back off our own candidacy a beat
-        Msg g;
-        g.kind = MsgKind::VoteGrant;
-        g.from = r.id;
-        g.epoch = m.epoch;
-        sendMsg(r, m.from, g, cfg.controlMsgBytes, votedBy);
+        r.lastLeaderHeard = eq.now();  // back off our own candidacy a beat
+        sendMsg(r, m.from, msgFrom(r, MsgKind::VoteGrant),
+                cfg.controlMsgBytes, votedBy);
     }
 
     void
@@ -1299,8 +1260,7 @@ struct Plane final : net::NodeHost
         if (r.role != Role::Candidate || m.epoch != r.epoch)
             return;
         r.votesMask |= std::uint64_t(1) << m.from;
-        if (std::uint64_t(__builtin_popcountll(r.votesMask))
-            >= majority())
+        if (isMajority(r.votesMask))
             becomeLeader(r);
     }
 
@@ -1312,9 +1272,7 @@ struct Plane final : net::NodeHost
         r.leaderKnown = r.id;
         r.leaderEpochSeen = r.epoch;
         r.lastLeaderHeard = eq.now();
-        r.pendingOps.clear();
-        r.pendingByReq.clear();
-        r.lastProposedVersion.clear();
+        clearProposals(r);
         // Make the pool authoritative for version assignment: commit
         // and drain any op-log backlog before taking writes.
         if (cfg.mode == net::PersistMode::OpLog)
@@ -1328,42 +1286,31 @@ struct Plane final : net::NodeHost
         // boot before the re-commit still finds them — these records
         // may have committed (and been client-acked) under a prior
         // epoch, and the quorum-overlap argument counts this copy.
-        std::uint64_t s = r.seqApplied;
-        while (true) {
-            auto it = r.staged.find(s + 1);
-            if (it == r.staged.end())
-                break;
+        // The tail is contiguous by invariant; the trim mirrors the
+        // cold-boot one for any straggler past a gap.
+        const std::uint64_t s = trimStagedGap(r);
+        for (auto it = r.staged.upper_bound(r.seqApplied);
+             it != r.staged.end(); ++it) {
             it->second.epoch = r.epoch;
             const ReplRecord &rec = it->second;
-            s = rec.seq;
             PendingOp op;
             op.rec = rec;
             r.pendingOps.emplace(rec.seq, std::move(op));
             r.pendingByReq[rec.reqId] = rec.seq;
             r.lastProposedVersion[rec.key] = rec.version;
         }
-        // The tail is contiguous by invariant; any straggler past a
-        // gap cannot be re-proposed under this epoch (mirrors the
-        // cold-boot trim).
-        while (!r.staged.empty() && r.staged.rbegin()->first > s)
-            r.staged.erase(std::prev(r.staged.end()));
         r.matchedSeq = s;
         r.nextSeq = s + 1;
         const Tick stagedBy = persistMeta(r);
-        for (std::uint32_t p = 0; p < cfg.replicas; ++p) {
-            r.peers[p].lastAck = eq.now();
-            r.peers[p].held = 0;
-            r.peers[p].synced = false;
-            r.peers[p].nextResendAt = 0;
-            r.peers[p].resendBackoff = 0;
+        for (Peer &pe : r.peers) {
+            pe = Peer{};
+            pe.lastAck = eq.now();
         }
         // Immediate round: announce, and re-propose the adopted tail
         // (after its re-tagged stage is durable).
         hbRound(r);
         for (const auto &[seq, op] : r.pendingOps)
-            for (std::uint32_t p = 0; p < cfg.replicas; ++p)
-                if (p != r.id)
-                    proposeOne(r, p, op.rec, stagedBy);
+            proposeAll(r, op.rec, stagedBy);
         advanceCommit(r);
         if (!r.hbArmed) {
             r.hbArmed = true;
@@ -1374,32 +1321,22 @@ struct Plane final : net::NodeHost
 
     // --- heartbeats -----------------------------------------------
 
+    /** A power event drops the armed beat; cutFire clears hbArmed. */
     void
     armHeartbeat(Replica &r)
     {
-        const std::uint64_t g = r.node.gen;
-        const std::uint32_t rid = r.id;
-        eq.scheduleIn(cfg.heartbeatInterval, [this, rid, g] {
-            Replica &r2 = *reps[rid];
-            if (g != r2.node.gen)
-                return;  // power event; cutFire cleared hbArmed
-            if (r2.role != Role::Leader) {
-                r2.hbArmed = false;
+        eq.scheduleIn(cfg.heartbeatInterval, r.node.guarded([this, &r] {
+            if (r.role != Role::Leader) {
+                r.hbArmed = false;
                 return;
             }
-            hbFire(r2);
-        });
-    }
-
-    void
-    hbFire(Replica &r)
-    {
-        // A dump-stalled leader skips the round (its silence is what
-        // lets S-CheckPC leaders get falsely deposed) but keeps the
-        // cadence.
-        if (r.node.canServe())
-            hbRound(r);
-        armHeartbeat(r);
+            // A dump-stalled leader skips the round (its silence is
+            // what lets S-CheckPC leaders get falsely deposed) but
+            // keeps the cadence.
+            if (r.node.canServe())
+                hbRound(r);
+            armHeartbeat(r);
+        }));
     }
 
     void
@@ -1415,12 +1352,8 @@ struct Plane final : net::NodeHost
                 pe.synced = false;
                 changed = true;
             }
-            Msg hb;
-            hb.kind = MsgKind::Heartbeat;
-            hb.from = r.id;
-            hb.epoch = r.epoch;
+            Msg hb = msgFrom(r, MsgKind::Heartbeat);
             hb.seq = r.nextSeq - 1;
-            hb.commit = r.seqApplied;
             hb.lastEpoch = r.appliedEpoch;
             ++res.heartbeats;
             sendMsg(r, p, hb, cfg.controlMsgBytes);
@@ -1476,10 +1409,7 @@ struct Plane final : net::NodeHost
         }
         r.syncInFlight = true;
         r.syncRequestedAt = now;
-        Msg m;
-        m.kind = MsgKind::SyncRequest;
-        m.from = r.id;
-        m.epoch = r.epoch;
+        Msg m = msgFrom(r, MsgKind::SyncRequest);
         m.seq = r.seqApplied;
         sendMsg(r, r.leaderKnown, m, cfg.controlMsgBytes);
     }
@@ -1494,26 +1424,20 @@ struct Plane final : net::NodeHost
             return;  // retransmit window covers the pending tail
         const bool haveDelta = !r.journal.empty()
             && r.journal.begin()->first <= from_seq + 1;
+        Msg reply = msgFrom(r, haveDelta ? MsgKind::SyncDelta
+                                         : MsgKind::SyncFull);
+        reply.lastEpoch = r.appliedEpoch;
+        std::uint64_t bytes = cfg.resyncStateBytes;
         if (haveDelta) {
-            auto recs =
-                std::make_shared<std::vector<ReplRecord>>();
+            reply.recs = std::make_shared<std::vector<ReplRecord>>();
             for (auto it = r.journal.upper_bound(from_seq);
                  it != r.journal.end() && it->first <= r.seqApplied;
                  ++it)
-                recs->push_back(it->second);
+                reply.recs->push_back(it->second);
             ++res.syncDeltas;
-            res.syncRecords += recs->size();
-            const std::uint64_t bytes = cfg.controlMsgBytes
-                + recs->size() * cfg.replRecordBytes;
-            res.syncBytes += bytes;
-            Msg d;
-            d.kind = MsgKind::SyncDelta;
-            d.from = r.id;
-            d.epoch = r.epoch;
-            d.commit = r.seqApplied;
-            d.lastEpoch = r.appliedEpoch;
-            d.recs = recs;
-            sendMsg(r, m.from, d, bytes);
+            res.syncRecords += reply.recs->size();
+            bytes = cfg.controlMsgBytes
+                + reply.recs->size() * cfg.replRecordBytes;
         } else {
             // The journal window moved past the rejoiner (it was
             // dark through a cold boot): ship the whole machine
@@ -1521,27 +1445,27 @@ struct Plane final : net::NodeHost
             if (cfg.mode == net::PersistMode::OpLog)
                 drainLog(r);
             ++res.syncFulls;
-            res.syncBytes += cfg.resyncStateBytes;
-            Msg f;
-            f.kind = MsgKind::SyncFull;
-            f.from = r.id;
-            f.epoch = r.epoch;
-            f.commit = r.seqApplied;
-            f.lastEpoch = r.appliedEpoch;
-            f.snap = std::make_shared<std::vector<net::KvKeyState>>(
+            reply.snap = std::make_shared<std::vector<net::KvKeyState>>(
                 r.node.kv.snapshotRecords());
-            sendMsg(r, m.from, f, cfg.resyncStateBytes);
         }
+        res.syncBytes += bytes;
+        sendMsg(r, m.from, reply, bytes);
+    }
+
+    /** A sync payload answers the request; false: stale leader. */
+    bool
+    acceptSync(Replica &r, const Msg &m)
+    {
+        r.syncInFlight = false;
+        r.syncBackoff = 0;
+        return observeLeader(r, m);
     }
 
     void
     onSyncDelta(Replica &r, const Msg &m)
     {
-        r.syncInFlight = false;
-        r.syncBackoff = 0;
-        if (m.epoch < r.epoch)
+        if (!acceptSync(r, m))
             return;
-        observeLeader(r, m);
         Tick t = eq.now();
         bool any = false;
         for (const ReplRecord &rec : *m.recs) {
@@ -1554,41 +1478,32 @@ struct Plane final : net::NodeHost
         }
         if (any) {
             pruneJournal(r);
-            // Drop only the staged prefix the applies just covered.
-            // Entries PAST the applied point must survive: they are
-            // durable and were acked as `held` — a leader's commit
-            // quorum may rest on this very copy, and erasing it
-            // would let a later election pick a leader without a
-            // committed record (acked-then-lost). A survivor that
-            // conflicts with the live chain is truncated by the
-            // propose stream's append-conflict rule; until then it
-            // is not advertised (matchedSeq regresses to the
-            // committed prefix below).
-            for (auto it = r.staged.begin();
-                 it != r.staged.end()
-                 && it->first <= r.seqApplied;)
-                it = r.staged.erase(it);
+            // Erasing the acked tail past the applies would let a
+            // later election pick a leader without a committed
+            // record (acked-then-lost). A survivor that conflicts
+            // with the live chain is truncated by the propose
+            // stream's append-conflict rule; until then it is not
+            // advertised (matchedSeq regresses to the committed
+            // prefix below).
+            eraseCoveredStage(r);
             r.matchedSeq = r.seqApplied;
             persistWatermark(r, t);
-            replyHbAck(r, m.from, t);
+            replyAck(r, m.from, t);
         }
     }
 
     void
     onSyncFull(Replica &r, const Msg &m)
     {
-        r.syncInFlight = false;
-        r.syncBackoff = 0;
-        if (m.epoch < r.epoch)
+        if (!acceptSync(r, m))
             return;
-        observeLeader(r, m);
         if (m.commit <= r.seqApplied) {
             // Stale or duplicated snapshot (a jittered re-delivery,
             // or an answer to a request the delta path already
             // satisfied): it carries nothing past our applied prefix,
             // and clearing the durable tail for it would throw away
             // verified records. Just tell the leader where we are.
-            replyHbAck(r, m.from);
+            replyAck(r, m.from);
             return;
         }
         Tick t = eq.now();
@@ -1597,25 +1512,25 @@ struct Plane final : net::NodeHost
                                       ks.valueSeed, ks.version);
         r.seqApplied = m.commit;
         r.appliedEpoch = m.lastEpoch;
-        // Same rule as the delta path: erase only the covered
-        // prefix, never the durable acked tail past it.
-        for (auto it = r.staged.begin();
-             it != r.staged.end() && it->first <= r.seqApplied;)
-            it = r.staged.erase(it);
+        eraseCoveredStage(r);
         r.journal.clear();
         r.matchedSeq = r.seqApplied;
         r.node.kv.persistClusterMeta(t, metaOf(r));
-        replyHbAck(r, m.from, t);
+        replyAck(r, m.from, t);
     }
 
     void
-    handleMsg(Replica &r, const Msg &m)
+    deliver(std::uint32_t to, const Msg &m)
     {
+        Replica &r = *reps[to];
+        if (!r.node.canServe()) {
+            ++res.ctrlDrops;
+            return;
+        }
         switch (m.kind) {
         case MsgKind::Heartbeat: onHeartbeat(r, m); break;
-        case MsgKind::HbAck: onAck(r, m); break;
         case MsgKind::Propose: onPropose(r, m); break;
-        case MsgKind::ProposeAck: onAck(r, m); break;
+        case MsgKind::Ack: onAck(r, m); break;
         case MsgKind::PreVote: onPreVote(r, m); break;
         case MsgKind::PreVoteGrant: onPreVoteGrant(r, m); break;
         case MsgKind::RequestVote: onRequestVote(r, m); break;
@@ -1628,28 +1543,16 @@ struct Plane final : net::NodeHost
 
     // --- election timer -------------------------------------------
 
+    /** A power event ends the chain; serviceUpFire restarts it. */
     void
     armElection(Replica &r, Tick delay)
     {
-        const std::uint64_t g = r.node.gen;
-        const std::uint32_t rid = r.id;
-        eq.scheduleIn(delay, [this, rid, g] {
-            Replica &r2 = *reps[rid];
-            if (g != r2.node.gen)
-                return;  // chain restarts at serviceUpFire
-            electionFire(r2);
-        });
-    }
-
-    void
-    electionFire(Replica &r)
-    {
-        const Tick now = eq.now();
-        if (r.node.canServe() && r.role != Role::Leader && !r.syncInFlight
-            && now - r.lastLeaderHeard >= cfg.electionTimeout)
-            startPreVote(r);
-        armElection(r, cfg.electionTimeout
-                           + r.ctrlRng.below(cfg.electionJitter + 1));
+        eq.scheduleIn(delay, r.node.guarded([this, &r] {
+            if (r.node.canServe() && !hearsLeader(r) && !r.syncInFlight)
+                startPreVote(r);
+            armElection(r, cfg.electionTimeout
+                               + r.ctrlRng.below(cfg.electionJitter + 1));
+        }));
     }
 
     // --- S-CheckPC periodic dump (per replica, staggered) ---------
@@ -1657,35 +1560,20 @@ struct Plane final : net::NodeHost
     void
     armScheck(Replica &r, Tick delay)
     {
-        const std::uint64_t g = r.node.gen;
-        const std::uint32_t rid = r.id;
-        eq.scheduleIn(delay, [this, rid, g] {
-            if (g == reps[rid]->node.gen)
-                scheckFire(*reps[rid]);
-        });
-    }
-
-    void
-    scheckFire(Replica &r)
-    {
-        const Tick now = eq.now();
-        if (r.node.canServe()) {
-            // A cut ends the dump with the machine (see cutFire).
-            const Tick done = r.node.scheckDump(now);
-            recomputeAvailability();
-            const std::uint64_t g = r.node.gen;
-            const std::uint32_t rid = r.id;
-            eq.schedule(done, [this, rid, g] {
-                net::ServiceNode &node = reps[rid]->node;
-                if (g != node.gen)
-                    return;
-                node.dumpStall = false;
-                node.kickService();
-                node.kickTx();
+        eq.scheduleIn(delay, r.node.guarded([this, &r] {
+            if (r.node.canServe()) {
+                // A cut ends the dump with the machine (see cutFire).
+                const Tick done = r.node.scheckDump(eq.now());
                 recomputeAvailability();
-            });
-        }
-        armScheck(r, cfg.scheckPeriod);
+                eq.schedule(done, r.node.guarded([this, &node = r.node] {
+                    node.dumpStall = false;
+                    node.kickService();
+                    node.kickTx();
+                    recomputeAvailability();
+                }));
+            }
+            armScheck(r, cfg.scheckPeriod);
+        }));
     }
 
     // --- power events ---------------------------------------------
@@ -1696,9 +1584,7 @@ struct Plane final : net::NodeHost
     {
         for (auto &[seq, op] : r.pendingOps)
             r.staged[seq] = op.rec;
-        r.pendingOps.clear();
-        r.pendingByReq.clear();
-        r.lastProposedVersion.clear();
+        clearProposals(r);
         for (auto it = r.journal.upper_bound(r.seqApplied);
              it != r.journal.end();)
             it = r.journal.erase(it);
@@ -1777,12 +1663,8 @@ struct Plane final : net::NodeHost
                 cfg.supervisor.backoffCap);
             upAt += backoff;
         }
-        const std::uint64_t g = node.gen;
-        const std::uint32_t rid = r.id;
-        eq.schedule(upAt, [this, rid, g] {
-            if (g == reps[rid]->node.gen)
-                serviceUpFire(*reps[rid]);
-        });
+        eq.schedule(upAt,
+                    node.guarded([this, &r] { serviceUpFire(r); }));
     }
 
     /**
@@ -1800,23 +1682,13 @@ struct Plane final : net::NodeHost
         r.voteWord = meta.voteWord;
         r.seqApplied = meta.commit;
         r.appliedEpoch = meta.commitEpoch;
-        for (auto it = r.staged.begin();
-             it != r.staged.end()
-             && it->first <= r.seqApplied;)
-            it = r.staged.erase(it);
+        eraseCoveredStage(r);
         // An ex-leader's proposals lived in pendingOps (volatile):
         // honest verified top = the contiguous durable tail.
-        std::uint64_t top = r.seqApplied;
-        while (r.staged.count(top + 1))
-            ++top;
-        while (!r.staged.empty()
-               && r.staged.rbegin()->first > top)
-            r.staged.erase(std::prev(r.staged.end()));
+        trimStagedGap(r);
         r.matchedSeq = r.seqApplied;
         r.journal.clear();
-        r.pendingOps.clear();
-        r.pendingByReq.clear();
-        r.lastProposedVersion.clear();
+        clearProposals(r);
         r.metaDirty = false;
         r.role = Role::Follower;
         r.leaderKnown = invalidReplica;
@@ -1859,7 +1731,6 @@ struct Plane final : net::NodeHost
     finish()
     {
         const Tick horizon = cfg.runFor + cfg.drainGrace;
-        res.horizon = horizon;
         accountTo(horizon);
         if (!writeOkNow)
             res.worstWriteGap = std::max(res.worstWriteGap,
@@ -1870,26 +1741,11 @@ struct Plane final : net::NodeHost
         res.readAvailability = 1.0
             - static_cast<double>(res.readUnavailableTicks)
                 / static_cast<double>(horizon);
-
-        const net::FleetStats &fs = fleet.stats();
-        res.arrivals = fs.arrivals;
-        res.attempts = fs.attempts;
-        res.retries = fs.retries;
-        res.completed = fs.completed;
-        res.failed = fs.failed;
-        res.duplicateAcks = fs.duplicateAcks;
-        res.redirects = fs.redirects;
-        res.ackedPuts = fs.ackedPuts;
-        res.fastRedirects = fs.fastRedirects;
-        res.redirectFallbacks = fs.redirectFallbacks;
         if (res.preVoteRounds > res.elections)
             res.electionsSuppressed = res.preVoteRounds - res.elections;
 
-        const fault::NemesisStats &ns = nemesis.stats();
-        res.msgsDropped = ns.dropped;
-        res.msgsDuplicated = ns.duplicated;
-        res.partitionCuts = ns.partitionCuts;
-        res.flapCuts = ns.flapCuts;
+        sim::foldFrom(res, fleet.stats(), clusterResultFields);
+        sim::foldFrom(res, nemesis.stats(), clusterResultFields);
 
         // Merge the per-replica recorders and counters in id order
         // (the merge is order-independent; id order keeps the digest
@@ -1897,20 +1753,8 @@ struct Plane final : net::NodeHost
         net::AvailabilityRecorder merged(cfg.goodputWindow);
         for (const auto &rp : reps) {
             merged.merge(rp->node.recorder);
-            const net::NodeStats &st = rp->node.stats;
-            res.resumes += st.resumes;
-            res.coldBoots += st.coldBoots;
-            res.ringPreservedFrames += st.ringPreservedFrames;
-            res.ringFramesLost += st.ringFramesLost;
+            sim::foldFrom(res, rp->node.stats, clusterResultFields);
         }
-        auto &lat = merged.latency();
-        res.meanUs = merged.latencySummaryUs().mean();
-        res.p50Us = ticksToUs(lat.percentile(0.50));
-        res.p99Us = ticksToUs(lat.percentile(0.99));
-        res.p999Us = ticksToUs(lat.percentile(0.999));
-        res.goodputMean = static_cast<double>(res.completed)
-            / (static_cast<double>(cfg.runFor)
-               / static_cast<double>(tickSec));
         for (const auto &o : merged.outageRecords()) {
             net::ServiceOutage so;
             so.eventAt = o.eventAt;
@@ -1946,73 +1790,18 @@ struct Plane final : net::NodeHost
         // Linearizability audit over the recorded invoke/ack history.
         const HistoryAuditResult audit =
             auditHistory(fleet.history(), fleet.putIssues());
-        res.auditedWrites = audit.writes;
-        res.auditedReads = audit.reads;
-        res.staleReads = audit.staleReads;
-        res.notFoundReads = audit.notFoundReads;
-        res.lostUpdates = audit.lostUpdates;
-        res.orderInversions = audit.orderInversions;
-        res.phantomReads = audit.phantomReads;
-        res.valueDivergences = audit.valueDivergences;
+        sim::foldFrom(res, audit, clusterResultFields);
         for (const std::string &v : audit.violations)
             violation(v);
 
         sim::Fnv64 d;
-        d.mix(res.arrivals);
-        d.mix(res.attempts);
-        d.mix(res.completed);
-        d.mix(res.failed);
-        d.mix(res.ackedPuts);
-        d.mix(res.redirects);
-        d.mix(res.elections);
-        d.mix(res.leaderChanges);
-        d.mix(res.stepDowns);
-        d.mix(res.proposals);
-        d.mix(res.commits);
-        d.mix(res.heartbeats);
-        d.mix(res.ctrlDrops);
-        d.mix(res.syncDeltas);
-        d.mix(res.syncFulls);
-        d.mix(res.syncRecords);
-        d.mix(res.resumes);
-        d.mix(res.coldBoots);
-        d.mix(res.resumeFailures);
-        d.mix(res.degradedColdBoots);
-        d.mix(res.cutsInjected);
-        d.mix(res.writeUnavailableTicks);
-        d.mix(res.readUnavailableTicks);
-        d.mix(res.worstWriteGap);
-        d.mix(res.readOnlySpans);
-        d.mix(res.lostAckedPuts);
-        d.mix(res.splitBrainEpochs);
-        d.mix(res.divergentCommits);
-        d.mix(res.preVoteRounds);
-        d.mix(res.preVotesGranted);
-        d.mix(res.electionsSuppressed);
-        d.mix(res.retransmits);
-        d.mix(res.syncRetries);
-        d.mix(res.msgsDropped);
-        d.mix(res.msgsDuplicated);
-        d.mix(res.msgsReordered);
-        d.mix(res.partitionCuts);
-        d.mix(res.flapCuts);
-        d.mix(res.fastRedirects);
-        d.mix(res.redirectFallbacks);
-        d.mix(res.duplicateAckAudits);
-        d.mix(res.auditedWrites);
-        d.mix(res.auditedReads);
-        d.mix(res.staleReads);
-        d.mix(res.notFoundReads);
-        d.mix(res.lostUpdates);
-        d.mix(res.orderInversions);
-        d.mix(res.phantomReads);
-        d.mix(res.valueDivergences);
+        sim::digest(d, res, clusterResultFields);
         for (const auto &rp : reps) {
             d.mix(rp->seqApplied);
             d.mix(rp->epoch);
             d.mix(rp->node.kv.appliedCount());
         }
-        d.mix(lat.percentile(0.99));
+        d.mix(merged.latency().percentile(0.99));
         d.mix(merged.lastSuccessAt());
         for (const net::ServiceOutage &o : res.outages)
             d.mix(o.downtime);
@@ -2022,8 +1811,7 @@ struct Plane final : net::NodeHost
     ClusterResult
     run()
     {
-        eq.schedule(fleet.nextInterarrival(),
-                    [this] { arrivalFire(); });
+        clients.start();
         for (const auto &rp : reps) {
             Replica &r = *rp;
             // Replica 0 fires its first election timer with no
@@ -2107,20 +1895,7 @@ validateClusterConfig(const ClusterConfig &config)
     if (config.agingSpread < 0.0 || config.agingSpread > 1.0)
         fatal("ClusterConfig: agingSpread (", config.agingSpread,
               ") must be within [0, 1]");
-    if (config.runFor == 0)
-        fatal("ClusterConfig: runFor must be nonzero");
-    if (config.goodputWindow == 0)
-        fatal("ClusterConfig: goodputWindow must be nonzero");
-    if (config.fleet.clients == 0)
-        fatal("ClusterConfig: fleet.clients must be >= 1");
-    if (config.fleet.arrivalsPerSec <= 0.0)
-        fatal("ClusterConfig: fleet.arrivalsPerSec must be positive");
-    if (config.fleet.maxAttempts == 0)
-        fatal("ClusterConfig: fleet.maxAttempts must be >= 1");
-    if (config.nic.ringEntries == 0)
-        fatal("ClusterConfig: nic.ringEntries must be >= 1");
-    if (config.kv.queueCapacity == 0)
-        fatal("ClusterConfig: kv.queueCapacity must be >= 1");
+    net::validateServingKnobs(config, "ClusterConfig");
     if (config.retransmitBackoffCap < config.heartbeatInterval)
         fatal("ClusterConfig: retransmitBackoffCap (",
               config.retransmitBackoffCap,

@@ -223,10 +223,7 @@ KvService::execute(Tick &t, const RpcRequest &req, bool *deferred)
     t += _params.parseCost;
     clock(t);
 
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
+    RpcResponse resp = answerTo(req);
 
     if (req.deadline != 0 && t > req.deadline) {
         ++_stats.deadlineExceeded;
@@ -258,10 +255,7 @@ RpcResponse
 KvService::executeGet(Tick &t, const RpcRequest &req, bool *deferred)
 {
     ++_stats.gets;
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
+    RpcResponse resp = answerTo(req);
 
     if (_log) {
         // Read-your-writes through the undrained log: the newest
@@ -375,10 +369,7 @@ KvService::executePut(Tick &t, const RpcRequest &req, bool *deferred)
         return executePutOpLog(t, req, deferred);
 
     ++_stats.puts;
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
+    RpcResponse resp = answerTo(req);
 
     // Idempotence: a retry of an applied PUT is acknowledged from
     // the dedup set without touching the key table.
@@ -423,10 +414,7 @@ KvService::executePutOpLog(Tick &t, const RpcRequest &req,
                            bool *deferred)
 {
     ++_stats.puts;
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
+    RpcResponse resp = answerTo(req);
 
     // Retry of a record still sitting in the log: acknowledge from
     // the pending index; the ack is deferred iff the record's group
@@ -520,10 +508,7 @@ RpcResponse
 KvService::executeScan(Tick &t, const RpcRequest &req)
 {
     ++_stats.scans;
-    RpcResponse resp;
-    resp.reqId = req.reqId;
-    resp.client = req.client;
-    resp.attempt = req.attempt;
+    RpcResponse resp = answerTo(req);
 
     const std::uint32_t mask = _params.keyCapacity - 1;
     const std::uint32_t len = std::min(

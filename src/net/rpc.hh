@@ -102,6 +102,17 @@ struct RpcResponse
     std::uint64_t epoch = 0;
 };
 
+/** An Ok response addressed to @p req's attempt, to be filled in. */
+inline RpcResponse
+answerTo(const RpcRequest &req)
+{
+    RpcResponse resp;
+    resp.reqId = req.reqId;
+    resp.client = req.client;
+    resp.attempt = req.attempt;
+    return resp;
+}
+
 static_assert(std::is_trivially_copyable_v<RpcRequest>);
 static_assert(std::is_trivially_copyable_v<RpcResponse>);
 

@@ -95,6 +95,7 @@ struct Plane final : NodeHost
     ServiceNode node;
     EventQueue &eq;
     ClientFleet fleet;
+    ClientLoop clients;
 
     ServiceResult res;
 
@@ -102,45 +103,17 @@ struct Plane final : NodeHost
         : cfg(config),
           node(nodeParamsFor(config), *this),
           eq(node.eq),
-          fleet(fleetParamsFor(config))
+          fleet(fleetParamsFor(config)),
+          clients(config, eq, fleet,
+                  [this](const RpcRequest &) -> ServiceNode & {
+                      return node;
+                  })
     {
         res.mode = cfg.mode;
         res.modeName = persistModeName(cfg.mode);
     }
 
     // --- client side ----------------------------------------------
-
-    void
-    arrivalFire()
-    {
-        const Tick now = eq.now();
-        if (now > cfg.runFor)
-            return;
-        RpcRequest req = fleet.newRequest(now);
-        issueAttempt(req, now);
-        eq.schedule(now + fleet.nextInterarrival(),
-                    [this] { arrivalFire(); });
-    }
-
-    void
-    issueAttempt(RpcRequest req, Tick now)
-    {
-        req.deadline = now + cfg.requestDeadline;
-        eq.schedule(now + cfg.wireLatency,
-                    [this, req] { node.rxArrive(req); });
-        const Tick wait = fleet.timeoutFor(req.client, req.attempt);
-        eq.schedule(now + cfg.wireLatency + wait,
-                    [this, id = req.reqId] { timeoutFire(id); });
-    }
-
-    void
-    timeoutFire(std::uint64_t req_id)
-    {
-        const Tick now = eq.now();
-        auto next = fleet.retryAttempt(req_id, now);
-        if (next)
-            issueAttempt(*next, now);
-    }
 
     void
     deliver(const RpcResponse &resp) override
@@ -342,49 +315,11 @@ struct Plane final : NodeHost
     void
     finish()
     {
-        const FleetStats &fs = fleet.stats();
-        res.arrivals = fs.arrivals;
-        res.attempts = fs.attempts;
-        res.retries = fs.retries;
-        res.completed = fs.completed;
-        res.failed = fs.failed;
-        res.duplicateAcks = fs.duplicateAcks;
-        res.ackedPuts = fs.ackedPuts;
-
-        const KvStats &ks = node.kv.stats();
-        res.executed = ks.executed;
-        res.putsApplied = ks.putsApplied;
-        res.idempotentHits = ks.idempotentHits;
-        res.rejected = ks.rejected;
-        res.deadlineExceeded = ks.deadlineExceeded;
-        res.queueDropped = ks.queueDropped;
-        res.recoveries = ks.recoveries;
-        res.logAppends = ks.logAppends;
-        res.logCommits = ks.logCommits;
-        res.logDrainApplied = ks.logDrainApplied;
-        res.logReplayApplied = ks.logReplayApplied;
-        res.logStallDrains = ks.logStallDrains;
-        res.dedupCompactions = ks.dedupCompactions;
-        res.dedupEvicted = ks.dedupEvicted;
-
-        const NicStats &ns = node.nic.stats();
-        res.framesRx = ns.framesRx;
-        res.framesTx = ns.framesTx;
-        res.rxDropsDown = ns.rxDropsDown;
-        res.rxDropsFull = ns.rxDropsFull;
-        res.maxQueueDepth = ks.maxQueueDepth;
-        res.maxRxOccupancy = ns.maxRxOccupancy;
-        res.maxTxOccupancy = ns.maxTxOccupancy;
-
-        const NodeStats &nd = node.stats;
-        res.wireDrops = nd.wireDrops;
-        res.ringPreservedFrames = nd.ringPreservedFrames;
-        res.ringFramesLost = nd.ringFramesLost;
-        res.contextImagesSaved = nd.contextImagesSaved;
-        res.contextImagesRestored = nd.contextImagesRestored;
-        res.coldBoots = nd.coldBoots;
-        res.stopTicksTotal = nd.stopTicks;
-        res.goTicksTotal = nd.goTicks;
+        sim::foldFrom(res, fleet.stats(), serviceResultFields);
+        sim::foldFrom(res, node.kv.stats(), serviceResultFields);
+        sim::foldFrom(res, node.nic.stats(), serviceResultFields);
+        sim::foldFrom(res, node.stats, serviceResultFields);
+        res.appliedCount = node.kv.appliedCount();
 
         AvailabilityRecorder &recorder = node.recorder;
         auto &lat = recorder.latency();
@@ -411,22 +346,7 @@ struct Plane final : NodeHost
         }
 
         sim::Fnv64 d;
-        d.mix(res.arrivals);
-        d.mix(res.attempts);
-        d.mix(res.completed);
-        d.mix(res.failed);
-        d.mix(res.ackedPuts);
-        d.mix(res.executed);
-        d.mix(res.putsApplied);
-        d.mix(res.idempotentHits);
-        d.mix(node.kv.appliedCount());
-        d.mix(res.framesRx);
-        d.mix(res.framesTx);
-        d.mix(res.ringPreservedFrames);
-        d.mix(res.stormFollowUpCuts);
-        d.mix(res.logAppends);
-        d.mix(res.logCommits);
-        d.mix(res.dedupEvicted);
+        sim::digest(d, res, serviceResultFields);
         d.mix(lat.percentile(0.99));
         d.mix(recorder.lastSuccessAt());
         for (const ServiceOutage &o : res.outages)
@@ -437,8 +357,7 @@ struct Plane final : NodeHost
     ServiceResult
     run()
     {
-        eq.schedule(fleet.nextInterarrival(),
-                    [this] { arrivalFire(); });
+        clients.start();
         eq.schedule(cfg.goodputWindow, [this] { samplerFire(); },
                     EventPriority::Stats);
         const Tick spacing = cfg.runFor / (cfg.cuts + 1);
@@ -469,22 +388,7 @@ struct Plane final : NodeHost
 void
 validateServiceConfig(const ServiceConfig &config)
 {
-    if (config.fleet.clients == 0)
-        fatal("ServiceConfig: fleet.clients must be >= 1 "
-              "(a zero-client fleet generates no load)");
-    if (config.fleet.arrivalsPerSec <= 0.0)
-        fatal("ServiceConfig: fleet.arrivalsPerSec must be positive");
-    if (config.fleet.maxAttempts == 0)
-        fatal("ServiceConfig: fleet.maxAttempts must be >= 1");
-    if (config.nic.ringEntries == 0)
-        fatal("ServiceConfig: nic.ringEntries must be >= 1 "
-              "(a zero-capacity ring can never carry a frame)");
-    if (config.kv.queueCapacity == 0)
-        fatal("ServiceConfig: kv.queueCapacity must be >= 1");
-    if (config.runFor == 0)
-        fatal("ServiceConfig: runFor must be nonzero");
-    if (config.goodputWindow == 0)
-        fatal("ServiceConfig: goodputWindow must be nonzero");
+    validateServingKnobs(config, "ServiceConfig");
     if (config.stormFollowUps > 0 && config.cuts == 0)
         fatal("ServiceConfig: stormFollowUps = ",
               config.stormFollowUps,

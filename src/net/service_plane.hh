@@ -47,6 +47,7 @@
 #include "net/kv_service.hh"
 #include "net/nic.hh"
 #include "sim/fields.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace lightpc::net
@@ -193,6 +194,21 @@ inline constexpr auto serviceOutageFields = std::make_tuple(
         .ms("%.3f"),
     sim::derived("cold_boot", &ServiceOutage::coldBoot));
 
+/** Power-cycle counters of one machine (net::ServiceNode). */
+struct NodeStats
+{
+    /** Frames resurrected from the DCB ring images across outages. */
+    std::uint64_t ringPreservedFrames = 0;
+    /** Queued frames destroyed by cold boots. */
+    std::uint64_t ringFramesLost = 0;
+    std::uint64_t contextImagesSaved = 0;
+    std::uint64_t contextImagesRestored = 0;
+    std::uint64_t resumes = 0;  ///< warm Stop-and-Go recoveries
+    std::uint64_t coldBoots = 0;
+    Tick stopTicks = 0;  ///< accumulated SnG Stop wall time
+    Tick goTicks = 0;    ///< accumulated SnG Go wall time
+};
+
 /** Everything one run produces. */
 struct ServiceResult
 {
@@ -205,17 +221,14 @@ struct ServiceResult
     std::uint64_t retries = 0;
     std::uint64_t completed = 0;
     std::uint64_t failed = 0;
-    std::uint64_t duplicateAcks = 0;
     std::uint64_t ackedPuts = 0;
 
     // Server side.
     std::uint64_t executed = 0;
     std::uint64_t putsApplied = 0;
     std::uint64_t idempotentHits = 0;
+    std::uint64_t appliedCount = 0;  ///< KvService::appliedCount() at the end
     std::uint64_t rejected = 0;
-    std::uint64_t deadlineExceeded = 0;
-    std::uint64_t queueDropped = 0;
-    std::uint64_t recoveries = 0;
 
     // Op-log write path (OpLog mode; zero elsewhere).
     std::uint64_t logAppends = 0;
@@ -231,14 +244,11 @@ struct ServiceResult
     // NIC.
     std::uint64_t framesRx = 0;
     std::uint64_t framesTx = 0;
-    std::uint64_t rxDropsDown = 0;
-    std::uint64_t rxDropsFull = 0;
 
     /** Bounded-queue high-water marks (audited against capacity). */
     std::uint32_t maxQueueDepth = 0;
     std::uint32_t maxRxOccupancy = 0;
     std::uint32_t maxTxOccupancy = 0;
-    std::uint64_t wireDrops = 0;  ///< frames lost to AC-off (plane)
 
     /** Frames resurrected from the DCB ring images across outages. */
     std::uint64_t ringPreservedFrames = 0;
@@ -283,44 +293,98 @@ struct ServiceResult
 };
 
 /**
- * JSON rows of ServiceResult (sim/fields.hh). The run digest mixes
- * values derived inside runService (latency percentiles, applied
- * counts), so no row carries a digest slot.
+ * JSON, copy and digest rows of ServiceResult (sim/fields.hh). Each
+ * counter copies from its source in the live run; rows without a
+ * key are copied or digested but not printed. The run digest mixes
+ * the slotted rows, then the latency tail and outage downtimes.
  */
 inline constexpr auto serviceResultFields = [] {
     using C = ServiceResult;
+    using F = FleetStats;
+    using K = KvStats;
+    using N = NicStats;
+    using M = NodeStats;
     return std::make_tuple(
         sim::key("mode", &C::modeName),
-        sim::sum("arrivals", &C::arrivals),
-        sim::sum("completed", &C::completed),
-        sim::sum("failed", &C::failed),
-        sim::sum("retries", &C::retries),
-        sim::sum("acked_puts", &C::ackedPuts),
-        sim::sum("puts_applied", &C::putsApplied),
-        sim::sum("idempotent_hits", &C::idempotentHits),
-        sim::sum("rejected", &C::rejected),
+        sim::sum("arrivals", &C::arrivals, 0, &F::arrivals),
+        sim::sum(nullptr, &C::attempts, 1, &F::attempts),
+        sim::sum("completed", &C::completed, 2, &F::completed),
+        sim::sum("failed", &C::failed, 3, &F::failed),
+        sim::sum("retries", &C::retries, -1, &F::retries),
+        sim::sum("acked_puts", &C::ackedPuts, 4, &F::ackedPuts),
+        sim::sum(nullptr, &C::executed, 5, &K::executed),
+        sim::sum("puts_applied", &C::putsApplied, 6, &K::putsApplied),
+        sim::sum("idempotent_hits", &C::idempotentHits, 7,
+                 &K::idempotentHits),
+        sim::sum(nullptr, &C::appliedCount, 8),
+        sim::sum("rejected", &C::rejected, -1, &K::rejected),
+        sim::maximum(nullptr, &C::maxQueueDepth, -1, &K::maxQueueDepth),
+        sim::sum(nullptr, &C::framesRx, 9, &N::framesRx),
+        sim::sum(nullptr, &C::framesTx, 10, &N::framesTx),
+        sim::maximum(nullptr, &C::maxRxOccupancy, -1, &N::maxRxOccupancy),
+        sim::maximum(nullptr, &C::maxTxOccupancy, -1, &N::maxTxOccupancy),
+        sim::sum(nullptr, &C::contextImagesSaved, -1,
+                 &M::contextImagesSaved),
+        sim::sum(nullptr, &C::contextImagesRestored, -1,
+                 &M::contextImagesRestored),
+        sim::sum(nullptr, &C::stormFollowUpCuts, 12),
         sim::derived("goodput_mean", &C::goodputMean).fixed("%.1f"),
         sim::derived("latency_mean_us", &C::meanUs).fixed("%.2f"),
         sim::derived("p50_us", &C::p50Us).fixed("%.2f"),
         sim::derived("p99_us", &C::p99Us).fixed("%.2f"),
         sim::derived("p999_us", &C::p999Us).fixed("%.2f"),
-        sim::sum("cold_boots", &C::coldBoots),
-        sim::sum("ring_preserved_frames", &C::ringPreservedFrames),
-        sim::sum("ring_frames_lost", &C::ringFramesLost),
-        sim::sum("stop_ms_total", &C::stopTicksTotal).ms("%.3f"),
-        sim::sum("go_ms_total", &C::goTicksTotal).ms("%.3f"),
-        sim::sum("log_appends", &C::logAppends),
-        sim::sum("log_commits", &C::logCommits),
-        sim::sum("log_drain_applied", &C::logDrainApplied),
-        sim::sum("log_replay_applied", &C::logReplayApplied),
-        sim::sum("log_stall_drains", &C::logStallDrains),
-        sim::sum("dedup_compactions", &C::dedupCompactions),
-        sim::sum("dedup_evicted", &C::dedupEvicted),
+        sim::sum("cold_boots", &C::coldBoots, -1, &M::coldBoots),
+        sim::sum("ring_preserved_frames", &C::ringPreservedFrames, 11,
+                 &M::ringPreservedFrames),
+        sim::sum("ring_frames_lost", &C::ringFramesLost, -1,
+                 &M::ringFramesLost),
+        sim::sum("stop_ms_total", &C::stopTicksTotal)
+            .ms("%.3f").source(&M::stopTicks),
+        sim::sum("go_ms_total", &C::goTicksTotal)
+            .ms("%.3f").source(&M::goTicks),
+        sim::sum("log_appends", &C::logAppends, 13, &K::logAppends),
+        sim::sum("log_commits", &C::logCommits, 14, &K::logCommits),
+        sim::sum("log_drain_applied", &C::logDrainApplied, -1,
+                 &K::logDrainApplied),
+        sim::sum("log_replay_applied", &C::logReplayApplied, -1,
+                 &K::logReplayApplied),
+        sim::sum("log_stall_drains", &C::logStallDrains, -1,
+                 &K::logStallDrains),
+        sim::sum("dedup_compactions", &C::dedupCompactions, -1,
+                 &K::dedupCompactions),
+        sim::sum("dedup_evicted", &C::dedupEvicted, 15, &K::dedupEvicted),
         sim::sum("lost_acked_puts", &C::lostAckedPuts),
         sim::sum("duplicate_applied", &C::duplicateApplied),
         sim::notes("violations", &C::violations),
         sim::derived("digest", &C::digest).text("%016llx"));
 }();
+
+/**
+ * Reject the degenerate serving knobs every plane config names alike
+ * (client fleet, rings, queue, run length, goodput window); @p what
+ * names the config in the message.
+ */
+template <class Config>
+void
+validateServingKnobs(const Config &config, const char *what)
+{
+    if (config.fleet.clients == 0)
+        fatal(what, ": fleet.clients must be >= 1 "
+              "(a zero-client fleet generates no load)");
+    if (config.fleet.arrivalsPerSec <= 0.0)
+        fatal(what, ": fleet.arrivalsPerSec must be positive");
+    if (config.fleet.maxAttempts == 0)
+        fatal(what, ": fleet.maxAttempts must be >= 1");
+    if (config.nic.ringEntries == 0)
+        fatal(what, ": nic.ringEntries must be >= 1 "
+              "(a zero-capacity ring can never carry a frame)");
+    if (config.kv.queueCapacity == 0)
+        fatal(what, ": kv.queueCapacity must be >= 1");
+    if (config.runFor == 0)
+        fatal(what, ": runFor must be nonzero");
+    if (config.goodputWindow == 0)
+        fatal(what, ": goodputWindow must be nonzero");
+}
 
 /**
  * Reject degenerate configurations with a clear message instead of

@@ -22,6 +22,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "cluster/cluster.hh"
 #include "fault/campaign.hh"
 #include "fault/cluster_campaign.hh"
 #include "fault/compound.hh"
@@ -53,7 +54,7 @@ using Tables = ::testing::Types<
     Tab<fault::partitionCellFields>,
     Tab<fault::partitionCampaignFields>, Tab<fault::energyCellFields>,
     Tab<fault::energyProvisionFields>,
-    Tab<fault::energyCampaignFields>>;
+    Tab<fault::energyCampaignFields>, Tab<cluster::clusterResultFields>>;
 
 template <class M>
 void
